@@ -11,18 +11,17 @@ __version__ = "0.1.0"
 from .exceptions import NumericalContractError, ResourceCapError, SpinkickError
 from .pauli import HamiltonianTerm, PauliString, SiteAssignment, chain_terms, \
     commute_with_term, string_expectation
-from .graph import GeneratorMatrix, OperatorGraph, build_graph, canonical_index, \
+from .graph import GeneratorMatrix, OperatorGraph, build_graph, canonical_index, chain, \
     export_dot, generator_matrices, graph_json
 from .pulses import IdealKickSchedule, KickSlot, PulseSchedule, SinPowerSchedule, \
-    SquareDeltaSchedule, calibrate_amplitude, ideal_schedule, schedule_from_json, \
-    sin_power_schedule, square_schedule, step_grid
-from .flux import FluxResult, default_steps, information_flux, max_alpha, propagate, \
-    series_csv, summary
+    SquareDeltaSchedule, calibrate_amplitude, default_steps, ideal_schedule, \
+    schedule_from_json, sin_power_schedule, square_schedule, step_grid
+from .flux import FluxResult, information_flux, max_alpha, propagate, series_csv, summary
 from .fidelity import SweepRow, SweepSpec, average_fidelity, joint_average_fidelity, \
     transfer_read_time, \
     run_sweep, sweep_csv
 from .oracle import GhzReport, dump_state_json, evolve_state, final_state, ghz_compare, \
-    ghz_predicted, heisenberg_expectation, mirror_state, monte_carlo_average_fidelity, \
+    heisenberg_expectation, mirror_state, monte_carlo_average_fidelity, \
     pauli_expectation, product_state, receiver_density
 
 __all__ = [
@@ -30,7 +29,7 @@ __all__ = [
     "SpinkickError", "NumericalContractError", "ResourceCapError",
     "PauliString", "HamiltonianTerm", "SiteAssignment",
     "chain_terms", "commute_with_term", "string_expectation",
-    "OperatorGraph", "GeneratorMatrix", "build_graph", "canonical_index",
+    "OperatorGraph", "GeneratorMatrix", "build_graph", "canonical_index", "chain",
     "generator_matrices", "export_dot", "graph_json",
     "PulseSchedule", "KickSlot", "IdealKickSchedule", "SinPowerSchedule",
     "SquareDeltaSchedule", "ideal_schedule", "calibrate_amplitude",
@@ -41,5 +40,5 @@ __all__ = [
     "run_sweep", "sweep_csv",
     "evolve_state", "final_state", "heisenberg_expectation", "pauli_expectation",
     "product_state", "receiver_density", "monte_carlo_average_fidelity",
-    "mirror_state", "GhzReport", "ghz_compare", "ghz_predicted", "dump_state_json",
+    "mirror_state", "GhzReport", "ghz_compare", "dump_state_json",
 ]

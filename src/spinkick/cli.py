@@ -3,13 +3,14 @@ cross-checks, and amplitude calibration.
 
 Batch tool: plain CSV/JSON outputs with embedded parameter metadata, no
 interactive mode.  Exit codes: 0 success, 2 usage, 3 numerical contract
-violation, 4 resource cap.
+violation, 4 resource cap.  `sweep` writes every row, failed ones as NaN
+rows with a comment line, and then exits with the code of the first failed
+row's error (2, 3 or 4), or 0 when every row succeeded.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -17,14 +18,14 @@ import numpy as np
 
 from . import __version__
 from .exceptions import NumericalContractError, ResourceCapError
-from .fidelity import SweepSpec, average_fidelity, run_sweep, sweep_csv, transfer_read_time
-from .flux import (DEFAULT_STEPS_PER_PI, default_steps, information_flux, max_alpha,
-                   propagate, series_csv, summary)
-from .graph import build_graph, export_dot, generator_matrices, graph_json
+from .fidelity import SweepSpec, average_fidelity, joint_read_time, run_sweep, sweep_csv
+from .flux import information_flux, propagate, series_csv, summary
+from .graph import build_graph, chain, export_dot, graph_json
 from .oracle import (SiteAssignment, dump_state_json, ghz_compare, heisenberg_expectation,
                      monte_carlo_average_fidelity, product_state)
-from .pulses import ideal_schedule, schedule_from_json, sin_power_hump, boxcar_shape, \
-    calibrate_amplitude, sin_power_schedule, square_schedule, step_grid
+from .pulses import (DEFAULT_STEPS_PER_PI, QUARTER_TURN, boxcar_shape, calibrate_amplitude,
+                     default_steps, ideal_schedule, schedule_from_json, sin_power_hump,
+                     sin_power_schedule, square_schedule)
 
 
 def _write(text: str, path: str):
@@ -65,11 +66,16 @@ def _make_schedule(args) -> object:
 
 
 def _steps_for(args, schedule) -> int:
-    if args.steps:
+    if args.steps is not None:
         return args.steps
-    if args.steps_per_pi:
-        return max(1, math.ceil(args.steps_per_pi * schedule.total_time / math.pi))
-    return default_steps(schedule)
+    return default_steps(schedule, args.steps_per_pi)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _add_schedule_flags(p: argparse.ArgumentParser, with_n: bool = True):
@@ -80,8 +86,9 @@ def _add_schedule_flags(p: argparse.ArgumentParser, with_n: bool = True):
     p.add_argument("--sin-m", type=int, help="sin^m/cos^m schedule with this even m")
     p.add_argument("--square-delta", type=float, help="square-pulse schedule sharpness")
     p.add_argument("--schedule", help="JSON schedule file")
-    p.add_argument("--steps", type=int, help="explicit step count")
-    p.add_argument("--steps-per-pi", type=int, help="steps per pi of total time")
+    p.add_argument("--steps", type=_positive_int, help="explicit step count")
+    p.add_argument("--steps-per-pi", type=_positive_int, default=DEFAULT_STEPS_PER_PI,
+                   help="steps per pi of total time")
 
 
 def cmd_graph(args) -> int:
@@ -99,8 +106,7 @@ def cmd_simulate(args) -> int:
     n = schedule.n_sites
     n_steps = _steps_for(args, schedule)
     seed = 1 if args.seed_node == "X" else n + 1
-    k = generator_matrices(build_graph(n))
-    result = propagate(k, schedule, n_steps, seed=seed)
+    result = propagate(chain(n), schedule, n_steps, seed=seed)
     meta = {"n_steps": n_steps, "seed_node": args.seed_node, **_schedule_params(schedule)}
     csv_text = _meta_lines("simulate", meta) + series_csv(result)
     _write(csv_text, args.out)
@@ -150,10 +156,12 @@ def cmd_sweep(args) -> int:
             "fixed": json.dumps(spec.fixed, sort_keys=True),
             "steps_per_pi": spec.steps_per_pi}
     text = _meta_lines("sweep", meta) + sweep_csv(rows)
-    failures = [r for r in rows if r.error]
+    failures = [r for r in rows if r.error is not None]
     for r in failures:
-        text += f"# row {r.param_value:g} failed: {r.error}\n"
+        text += f"# row {r.param_value:g} failed: {type(r.error).__name__}: {r.error}\n"
     _write(text, args.out)
+    if failures:
+        raise failures[0].error
     return 0
 
 
@@ -161,8 +169,7 @@ def cmd_oracle_compare(args) -> int:
     schedule = _make_schedule(args)
     n = schedule.n_sites
     n_steps = _steps_for(args, schedule)
-    k = generator_matrices(build_graph(n))
-    result = propagate(k, schedule, n_steps)
+    result = propagate(chain(n), schedule, n_steps)
     rest = SiteAssignment.uniform(n - 1, "Z", 1)
     predicted = information_flux(result, rest)[("X", "X")]
     psi0 = product_state(SiteAssignment([("X", 1)] + [("Z", 1)] * (n - 1)))
@@ -183,13 +190,13 @@ def cmd_oracle_fidelity(args) -> int:
     schedule = _make_schedule(args)
     n = schedule.n_sites
     n_steps = _steps_for(args, schedule)
-    k = generator_matrices(build_graph(n))
+    k = chain(n)
     result = propagate(k, schedule, n_steps)
     if args.read_time == "end":
         read_time = schedule.total_time
     elif args.read_time == "auto":
         # best joint-transfer time per the flux prediction
-        read_time, _, _ = transfer_read_time(schedule, n_steps)
+        read_time, _, _ = joint_read_time(result, propagate(k, schedule, n_steps, seed=n + 1))
     else:
         read_time = float(args.read_time)
     alpha_at_read = float(np.interp(read_time, result.times, result.alpha_series(n)))
@@ -229,12 +236,12 @@ def cmd_calibrate(args) -> int:
     if (args.sin_m is None) == (args.boxcar_width is None):
         raise ValueError("choose exactly one of --sin-m, --boxcar-width")
     if args.sin_m is not None:
-        shape, window = sin_power_hump(args.sin_m)
+        area, window = sin_power_hump(args.sin_m)
         name = f"sin^{args.sin_m}"
     else:
-        shape, window = boxcar_shape(args.boxcar_width)
+        area, window = boxcar_shape(args.boxcar_width)
         name = f"boxcar({args.boxcar_width:g})"
-    amplitude = calibrate_amplitude(shape, window, args.target_area)
+    amplitude = calibrate_amplitude(area, args.target_area)
     report = {
         "meta": {"shape": name, "target_area": args.target_area},
         "amplitude": amplitude,
@@ -299,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="pulse amplitude for a target area")
     p.add_argument("--sin-m", type=int)
     p.add_argument("--boxcar-width", type=float)
-    p.add_argument("--target-area", type=float, default=math.pi / 4)
+    p.add_argument("--target-area", type=float, default=QUARTER_TURN)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_calibrate)
 
@@ -317,7 +324,7 @@ def main(argv=None) -> int:
     except NumericalContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

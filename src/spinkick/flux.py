@@ -17,18 +17,12 @@ import numpy as np
 
 from .exceptions import NumericalContractError
 from .graph import GeneratorMatrix
-from .pauli import SiteAssignment
-from .pulses import PulseSchedule, step_grid
-
-DEFAULT_STEPS_PER_PI = 400
+from .pauli import SiteAssignment, string_expectation
+from .pulses import PulseSchedule, default_steps, step_grid
 
 _SERIES_CUTOFF = 1e-14
 _MAX_SERIES_TERMS = 60
 _MAX_SCALE_DEPTH = 60
-
-
-def default_steps(schedule: PulseSchedule) -> int:
-    return max(1, math.ceil(DEFAULT_STEPS_PER_PI * schedule.total_time / math.pi))
 
 
 def expm_series(a: np.ndarray) -> np.ndarray:
@@ -159,24 +153,16 @@ def information_flux(result: FluxResult, rest_state: SiteAssignment) -> Dict[Tup
     n = result.n_sites
     if rest_state.n_sites != n - 1:
         raise ValueError(f"rest_state must assign sites 2..{n} ({n - 1} entries)")
-    if not rest_state.is_eigenbasis():
-        raise ValueError("rest_state entries must be X/Y/Z eigenstates")
     seed_node = result.nodes[result.seed - 1]
     seed_op = next(op for op in seed_node.labels if op != "I")
     flux: Dict[Tuple[str, str], np.ndarray] = {}
     for j, node in enumerate(result.nodes):
-        if node.op_at(1) == "I":
+        lead = node.op_at(1)
+        if lead == "I":
             continue
-        weight = 1
-        for offset, op in enumerate(node.labels[1:]):
-            if op == "I":
-                continue
-            basis, s = rest_state.entries[offset]
-            if op != basis:
-                weight = 0
-                break
-            weight *= s
-        flux[(seed_op, node.op_at(1))] = weight * result.alphas[:, j]
+        # site 1 in the +1 eigenstate of its own operator leaves the tail's weight
+        weight = string_expectation(node, SiteAssignment([(lead, 1)] + rest_state.entries))
+        flux[(seed_op, lead)] = weight * result.alphas[:, j]
     return flux
 
 
@@ -202,5 +188,5 @@ def summary(result: FluxResult) -> dict:
     return {
         "max_alpha_N": value,
         "t_star": t_star,
-        "fidelity": average_fidelity(abs(value)),
+        "fidelity": average_fidelity(value),
     }

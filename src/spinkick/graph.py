@@ -10,6 +10,7 @@ coefficient dynamics are d(alpha)/dt = 2 K(t) alpha.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -39,10 +40,6 @@ class OperatorGraph:
     n_sites: int
     nodes: Tuple[PauliString, ...]
     edges: Tuple[GraphEdge, ...]
-
-    def node_index(self, p: PauliString) -> int:
-        """1-based canonical index of a node."""
-        return self.nodes.index(p) + 1
 
 
 def canonical_index(p: PauliString) -> int:
@@ -143,6 +140,16 @@ def generator_matrices(g: OperatorGraph) -> GeneratorMatrix:
         n_sites=g.n_sites, nodes=g.nodes,
         k_jx=mats["Jx"], k_jy=mats["Jy"], k_b=mats["B"],
     )
+
+
+@functools.lru_cache(maxsize=32)
+def chain(n_sites: int) -> GeneratorMatrix:
+    """Generators of the N-site chain, built once per N and shared, so read-only."""
+    graph = build_graph(n_sites)
+    k = generator_matrices(graph)
+    for mat in (k.k_jx, k.k_jy, k.k_b):
+        mat.setflags(write=False)
+    return k
 
 
 def export_dot(g: OperatorGraph) -> str:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import NumericalContractError, ResourceCapError
 from .pauli import SiteAssignment
-from .pulses import PulseSchedule, ideal_schedule, step_grid
+from .pulses import PulseSchedule, default_steps, ideal_schedule, step_grid
 
 RESOURCE_CAP_SITES = 14  # 2^14 amplitudes by default; override explicitly
 
@@ -100,6 +100,35 @@ def _sites_of(psi: np.ndarray, schedule: PulseSchedule) -> int:
     return n
 
 
+def _step_windows(psi0: np.ndarray, schedule: PulseSchedule, n_steps: Optional[int],
+                  allow_large: bool, read_time: float,
+                  keep_series: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """The stepping loop of evolve_state and final_state.
+
+    Steps psi0 through every window of the step grid up to read_time and
+    returns (grid, states): one row per grid time when keep_series is set,
+    else only the final state, so a long run holds one vector.
+    """
+    n = _sites_of(psi0, schedule)
+    _check_cap(n, allow_large)
+    psi = np.asarray(psi0, dtype=complex)
+    if abs(np.linalg.norm(psi) - 1.0) > _NORM_TOL:
+        raise NumericalContractError("initial state is not normalized")
+    grid = step_grid(schedule, default_steps(schedule) if n_steps is None else n_steps)
+    grid = np.append(grid[grid < read_time], read_time)
+    chain = _ChainAction(n)
+    states = np.empty((len(grid) if keep_series else 1, len(psi)), dtype=complex)
+    states[0] = psi
+    for i in range(len(grid) - 1):
+        jx, jy, b = schedule.average_amplitudes(grid[i], grid[i + 1])
+        psi = chain.step(psi, grid[i + 1] - grid[i], jx, jy, b)
+        states[i + 1 if keep_series else 0] = psi
+    drift = np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0))
+    if drift > _NORM_TOL:
+        raise NumericalContractError(f"evolution norm drift {drift:g} exceeds {_NORM_TOL:g}")
+    return grid, states
+
+
 def evolve_state(psi0: np.ndarray, schedule: PulseSchedule,
                  n_steps: Optional[int] = None,
                  allow_large: bool = False) -> Tuple[np.ndarray, np.ndarray]:
@@ -108,26 +137,7 @@ def evolve_state(psi0: np.ndarray, schedule: PulseSchedule,
     Step boundaries include all schedule discontinuities and each window uses
     the window-averaged amplitudes, mirroring the coefficient propagation.
     """
-    n = _sites_of(psi0, schedule)
-    _check_cap(n, allow_large)
-    if n_steps is None:
-        from .flux import default_steps
-        n_steps = default_steps(schedule)
-    grid = step_grid(schedule, n_steps)
-    chain = _ChainAction(n)
-    psi = np.asarray(psi0, dtype=complex)
-    if abs(np.linalg.norm(psi) - 1.0) > _NORM_TOL:
-        raise NumericalContractError("initial state is not normalized")
-    states = np.empty((len(grid), len(psi)), dtype=complex)
-    states[0] = psi
-    for i in range(len(grid) - 1):
-        jx, jy, b = schedule.average_amplitudes(grid[i], grid[i + 1])
-        psi = chain.step(psi, grid[i + 1] - grid[i], jx, jy, b)
-        states[i + 1] = psi
-    drift = np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0))
-    if drift > _NORM_TOL:
-        raise NumericalContractError(f"evolution norm drift {drift:g} exceeds {_NORM_TOL:g}")
-    return grid, states
+    return _step_windows(psi0, schedule, n_steps, allow_large, schedule.total_time, True)
 
 
 def final_state(psi0: np.ndarray, schedule: PulseSchedule,
@@ -135,25 +145,12 @@ def final_state(psi0: np.ndarray, schedule: PulseSchedule,
                 n_steps: Optional[int] = None,
                 allow_large: bool = False) -> np.ndarray:
     """State at read_time (default: end of schedule) without storing the series."""
-    n = _sites_of(psi0, schedule)
-    _check_cap(n, allow_large)
-    if n_steps is None:
-        from .flux import default_steps
-        n_steps = default_steps(schedule)
     if read_time is None:
         read_time = schedule.total_time
     if not 0.0 <= read_time <= schedule.total_time:
         raise ValueError(f"read_time {read_time} outside [0, {schedule.total_time}]")
-    grid = step_grid(schedule, n_steps)
-    grid = np.append(grid[grid < read_time], read_time)
-    chain = _ChainAction(n)
-    psi = np.asarray(psi0, dtype=complex)
-    for i in range(len(grid) - 1):
-        jx, jy, b = schedule.average_amplitudes(grid[i], grid[i + 1])
-        psi = chain.step(psi, grid[i + 1] - grid[i], jx, jy, b)
-    if abs(np.linalg.norm(psi) - 1.0) > _NORM_TOL:
-        raise NumericalContractError("evolution norm drift exceeds tolerance")
-    return psi
+    _, states = _step_windows(psi0, schedule, n_steps, allow_large, read_time, False)
+    return states[0]
 
 
 def pauli_expectation(psi: np.ndarray, label: str) -> float:
@@ -201,11 +198,12 @@ def receiver_density(psi: np.ndarray) -> np.ndarray:
 
 
 def _bloch(rho: np.ndarray) -> np.ndarray:
-    return np.array([
-        2.0 * np.real(rho[0, 1]),
-        2.0 * np.imag(rho[1, 0]),
-        np.real(rho[0, 0] - rho[1, 1]),
-    ])
+    """Bloch vectors of one or a stack of (..., 2, 2) density matrices."""
+    return np.stack([
+        2.0 * np.real(rho[..., 0, 1]),
+        2.0 * np.imag(rho[..., 1, 0]),
+        np.real(rho[..., 0, 0] - rho[..., 1, 1]),
+    ], axis=-1)
 
 
 def _receiver_correction(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
@@ -272,12 +270,7 @@ def monte_carlo_average_fidelity(schedule: PulseSchedule, n_samples: int, seed: 
         hi = min(lo + batch, n_samples)
         psi = a[lo:hi, None] * u0[None, :] + b[lo:hi, None] * u1[None, :]
         psi = psi.reshape(hi - lo, dim // 2, 2)
-        rho = np.einsum("src,srd->scd", psi, psi.conj())
-        r_out = np.stack([
-            2.0 * np.real(rho[:, 0, 1]),
-            2.0 * np.imag(rho[:, 1, 0]),
-            np.real(rho[:, 0, 0] - rho[:, 1, 1]),
-        ], axis=1)
+        r_out = _bloch(np.einsum("src,srd->scd", psi, psi.conj()))
         fids[lo:hi] = 0.5 * (1.0 + np.sum(r_in[lo:hi] * (r_out @ correction.T), axis=1))
     # Bloch-vector roundoff can leak ~1e-16 past the physical range.
     np.clip(fids, 0.0, 1.0, out=fids)
@@ -346,12 +339,6 @@ def ghz_compare(assignment: SiteAssignment, schedule: Optional[PulseSchedule] = 
     best = int(np.argmax(fids))
     return GhzReport(predicted=candidates[best], evolved=evolved,
                      phase_index=best, fidelity=float(fids[best]))
-
-
-def ghz_predicted(assignment: SiteAssignment, schedule: Optional[PulseSchedule] = None,
-                  n_steps: Optional[int] = None, allow_large: bool = False) -> np.ndarray:
-    """The mirror-inverted two-branch state the kick sequence should produce."""
-    return ghz_compare(assignment, schedule, n_steps, allow_large).predicted
 
 
 def dump_state_json(psi: np.ndarray, threshold: float = 1e-12) -> str:

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import integrate
 
-from .exceptions import NumericalContractError
+from .pauli import CHANNELS
 
 QUARTER_TURN = math.pi / 4  # per-kick pulse area for a full coefficient swap
+
+DEFAULT_STEPS_PER_PI = 400
 
 SCHEMES = ("JxJy", "JxB")
 
@@ -49,6 +50,13 @@ class KickSlot:
     duration: float
     amplitude: float
 
+    def __post_init__(self):
+        numbers = (self.start, self.duration, self.amplitude)
+        if (self.channel not in CHANNELS or not all(math.isfinite(v) for v in numbers)
+                or self.start < 0 or self.duration <= 0):
+            raise ValueError(f"invalid {self}: needs a channel in {CHANNELS}, finite "
+                             "numbers, start >= 0 and duration > 0")
+
     @property
     def end(self) -> float:
         return self.start + self.duration
@@ -59,13 +67,15 @@ class IdealKickSchedule(PulseSchedule):
 
     def __init__(self, n_sites: int, slots: Sequence[KickSlot], scheme: str = ""):
         slots = tuple(sorted(slots, key=lambda s: s.start))
+        if not slots:
+            raise ValueError("need at least one kick slot")
         for a, b in zip(slots, slots[1:]):
             if b.start < a.end - 1e-12:
                 raise ValueError(f"overlapping kick slots at t={b.start}")
         self.n_sites = n_sites
         self.slots = slots
         self.scheme = scheme
-        self.total_time = slots[-1].end if slots else 0.0
+        self.total_time = slots[-1].end
 
     def amplitudes(self, t):
         for s in self.slots:
@@ -212,79 +222,55 @@ class SquareDeltaSchedule(PulseSchedule):
         }
 
 
-def calibrate_amplitude(shape: Callable[[float], float],
-                        window: Tuple[float, float],
-                        target_area: float = QUARTER_TURN) -> float:
-    """Amplitude a with a * integral(shape over window) = target_area.
-
-    The shape integral is evaluated by adaptive quadrature; a zero or negative
-    integral is rejected.
-    """
+def calibrate_amplitude(area: float, target_area: float = QUARTER_TURN) -> float:
+    """Amplitude a with a * area = target_area, for a pulse shape of the given area."""
     if target_area <= 0:
         raise ValueError("target_area must be positive")
-    area, err = integrate.quad(shape, window[0], window[1], limit=200)
-    if area <= 1e-15:
+    if not area > 0:
         raise ValueError("pulse shape has zero integral over its window")
-    amplitude = target_area / area
-    if err * amplitude > 1e-10 * max(1.0, target_area):
-        raise NumericalContractError(f"calibration quadrature too inaccurate (err={err:g})")
-    return amplitude
+    return target_area / area
 
 
-def sin_power_hump(m: int) -> Tuple[Callable[[float], float], Tuple[float, float]]:
-    """One non-negative hump of sin^m: the half-period window (0, pi)."""
-    return (lambda t: math.sin(t) ** m), (0.0, math.pi)
+def sin_power_hump(m: int) -> Tuple[float, Tuple[float, float]]:
+    """Area and window of one non-negative hump of sin^m, the half-period (0, pi).
+
+    The area is Wallis' integral sqrt(pi) * Gamma((m+1)/2) / Gamma(m/2 + 1),
+    which is pi * C(m, m/2) / 2^m for even m.
+    """
+    if m < 0:
+        raise ValueError(f"m must be non-negative, got {m}")
+    area = math.sqrt(math.pi) * math.exp(math.lgamma((m + 1) / 2) - math.lgamma(m / 2 + 1))
+    return area, (0.0, math.pi)
 
 
-def boxcar_shape(width: float) -> Tuple[Callable[[float], float], Tuple[float, float]]:
+def boxcar_shape(width: float) -> Tuple[float, Tuple[float, float]]:
+    """Area and window of a unit boxcar: the width itself, over (0, width)."""
     if width <= 0:
         raise ValueError("boxcar width must be positive")
-    return (lambda t: 1.0), (0.0, width)
-
-
-def _kick_channel_walk(n_sites: int, channels: Tuple[str, str]) -> List[str]:
-    """Kick order that carries the receiver coefficient to the sender node.
-
-    Walks the operator-graph path from node 1 (X at site N) to node N (leading
-    operator at site 1) restricted to the scheme's two channels, then prepends
-    the complementary channel so the partner coefficient seeded at Y_N starts
-    moving on the first kick as well.
-    """
-    from .graph import build_graph  # local import keeps module load light
-
-    g = build_graph(n_sites)
-    adjacency = {}
-    for e in g.edges:
-        if e.channel in channels:
-            adjacency.setdefault(e.a, []).append((e.b, e.channel))
-            adjacency.setdefault(e.b, []).append((e.a, e.channel))
-    prev, cur = -1, 0
-    walked: List[str] = []
-    while cur != n_sites - 1:
-        step = [(j, ch) for j, ch in adjacency.get(cur, []) if j != prev]
-        if len(step) != 1:
-            raise NumericalContractError(f"graph walk not a path at node {cur + 1}")
-        prev, (cur, ch) = cur, step[0]
-        walked.append(ch)
-    complement = channels[0] if walked[0] == channels[1] else channels[1]
-    return [complement] + walked
+    return width, (0.0, width)
 
 
 def ideal_schedule(n_sites: int, scheme: str = "JxJy", kick_duration: float = 1.0) -> IdealKickSchedule:
     """Back-to-back boxcar kicks of area pi/4 implementing perfect transfer.
 
-    JxJy alternates the two couplings (N kicks); JxB alternates coupling and
-    field (2N-1 kicks for odd N, 2N for even N).
+    Each kick swaps coefficients across one operator-graph edge.  The path
+    from X_N to the site-1 node in the scheme's two channels, led by one kick
+    of the other channel that starts the partner coefficient seeded at Y_N,
+    alternates the channels from Jx: N kicks for JxJy, 2N-1 (odd N) or 2N
+    (even N) for JxB.
     """
+    if n_sites < 2:
+        raise ValueError("need at least 2 sites")
     if kick_duration <= 0:
         raise ValueError("kick_duration must be positive")
     key = scheme.lower()
     if key == "jxjy":
-        order = _kick_channel_walk(n_sites, ("Jx", "Jy"))
+        channels, count = ("Jx", "Jy"), n_sites
     elif key == "jxb":
-        order = _kick_channel_walk(n_sites, ("Jx", "B"))
+        channels, count = ("Jx", "B"), 2 * n_sites - n_sites % 2
     else:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    order = [channels[k % 2] for k in range(count)]
     amplitude = QUARTER_TURN / kick_duration
     slots = [
         KickSlot(channel=ch, start=k * kick_duration, duration=kick_duration, amplitude=amplitude)
@@ -295,10 +281,8 @@ def ideal_schedule(n_sites: int, scheme: str = "JxJy", kick_duration: float = 1.
 
 def sin_power_schedule(n_sites: int, m: int) -> SinPowerSchedule:
     """Smooth schedule over [0, 2*N*pi] with both amplitudes set by the pi/4 rule."""
-    if m < 2 or m % 2 != 0:
-        raise ValueError(f"m must be a positive even integer, got {m}")
-    shape, window = sin_power_hump(m)
-    amp = calibrate_amplitude(shape, window)
+    area, _ = sin_power_hump(m)
+    amp = calibrate_amplitude(area)
     return SinPowerSchedule(n_sites, m, j_max=amp, b_max=amp)
 
 
@@ -316,19 +300,39 @@ def square_schedule(n_sites: int, delta: float) -> SquareDeltaSchedule:
                                pulse_width=width, period=period)
 
 
+_JSON_KEYS = {
+    "ideal_kicks": ("n_sites", "slots"),
+    "sin_power": ("n_sites", "m", "j_max", "b_max"),
+    "square_delta": ("n_sites", "delta", "j_const", "b_max", "pulse_width", "period"),
+}
+
+
 def schedule_from_json(data: dict) -> PulseSchedule:
     """Rebuild a schedule from its to_json() payload."""
-    variant = data.get("variant")
+    variant = data.get("variant") if isinstance(data, dict) else None
+    if variant not in _JSON_KEYS:
+        raise ValueError(f"unknown schedule variant {variant!r}")
+    missing = [k for k in _JSON_KEYS[variant] if k not in data]
+    if missing:
+        raise ValueError(f"{variant} schedule is missing {', '.join(missing)}")
+    n = data["n_sites"]
+    if not isinstance(n, int) or n < 2:
+        raise ValueError(f"n_sites must be an integer >= 2, got {n!r}")
+    if not all(math.isfinite(data[k]) for k in _JSON_KEYS[variant] if k != "slots"):
+        raise ValueError(f"non-finite number in {variant} schedule")
     if variant == "ideal_kicks":
         slots = [KickSlot(d["channel"], d["start"], d["duration"], d["amplitude"])
                  for d in data["slots"]]
-        return IdealKickSchedule(data["n_sites"], slots, scheme=data.get("scheme", ""))
+        return IdealKickSchedule(n, slots, scheme=data.get("scheme", ""))
     if variant == "sin_power":
-        return SinPowerSchedule(data["n_sites"], data["m"], data["j_max"], data["b_max"])
-    if variant == "square_delta":
-        return SquareDeltaSchedule(data["n_sites"], data["delta"], data["j_const"],
-                                   data["b_max"], data["pulse_width"], data["period"])
-    raise ValueError(f"unknown schedule variant {variant!r}")
+        return SinPowerSchedule(n, data["m"], data["j_max"], data["b_max"])
+    return SquareDeltaSchedule(n, data["delta"], data["j_const"],
+                               data["b_max"], data["pulse_width"], data["period"])
+
+
+def default_steps(schedule: PulseSchedule, steps_per_pi: int = DEFAULT_STEPS_PER_PI) -> int:
+    """Uniform step count for a schedule: steps_per_pi per pi of total time."""
+    return max(1, math.ceil(steps_per_pi * schedule.total_time / math.pi))
 
 
 def step_grid(schedule: PulseSchedule, n_steps: int) -> np.ndarray:

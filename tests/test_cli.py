@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spinkick
 from spinkick.cli import main
 
 
@@ -36,6 +41,29 @@ class TestExitCodes:
         rc, _, err = run(capsys, "oracle", "ghz", "--sites", *(["0"] * 16))
         assert rc == 4
         assert "error:" in err
+
+    def test_schedule_file_missing_key_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"variant": "sin_power", "n_sites": 5}))
+        rc, _, err = run(capsys, "simulate", "--schedule", str(path))
+        assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_schedule_file_bad_slot_is_usage_error(self, capsys, tmp_path):
+        slot = {"channel": "Q", "start": 0.0, "duration": -1, "amplitude": 1.0}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"variant": "ideal_kicks", "n_sites": 3, "slots": [slot]}))
+        rc, out, err = run(capsys, "simulate", "--schedule", str(path))
+        assert rc == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--steps", "--steps-per-pi"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_step_counts_rejected(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n-sites", "3", "--scheme", "JxJy", flag, value])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -145,6 +173,25 @@ steps_per_pi = 60
         assert rc == 2
         assert "family" in err
 
+    def test_failed_row_sets_exit_code_after_full_csv(self, capsys, tmp_path):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("family = sin_power\nsweep = m\nvalues = 3,4\n"
+                        "fixed.n_sites = 5\nsteps_per_pi = 20\n")
+        rc, out, err = run(capsys, "sweep", str(spec))
+        assert rc == 2
+        rows = [line for line in out.splitlines() if not line.startswith("#")]
+        assert len(rows) == 1 + 2
+        assert rows[1].startswith("3,nan")
+        assert "# row 3 failed: ValueError" in out
+        assert "even" in err
+
+    def test_missing_family_parameter_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**self.JSON_SPEC, "fixed": {}}))
+        rc, _, err = run(capsys, "sweep", str(bad))
+        assert rc == 2
+        assert "n_sites" in err
+
     def test_malformed_json_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -177,6 +224,26 @@ class TestOracleCommands:
                          "--samples", "20", "--read-time", "1.0")
         assert rc == 0
         assert json.loads(out)["read_time"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n_sites,scheme", [("3", "JxJy"), ("4", "JxB")])
+    def test_fidelity_closed_form_at_negative_alpha(self, capsys, n_sites, scheme):
+        # both kick sequences end with alpha_N = -1, a perfect transfer up to
+        # a receiver rotation
+        rc, out, _ = run(capsys, "oracle", "fidelity", "--n-sites", n_sites,
+                         "--scheme", scheme, "--steps", "40", "--samples", "50",
+                         "--read-time", "end")
+        assert rc == 0
+        report = json.loads(out)
+        assert report["closed_form"] == pytest.approx(1.0, abs=1e-9)
+        assert report["monte_carlo_mean"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_fidelity_auto_read_time(self, capsys):
+        rc, out, _ = run(capsys, "oracle", "fidelity", "--n-sites", "3",
+                         "--scheme", "JxB", "--steps", "30", "--samples", "50")
+        assert rc == 0
+        report = json.loads(out)
+        assert report["read_time"] == pytest.approx(5.0)
+        assert report["closed_form"] == pytest.approx(1.0, abs=1e-9)
 
     def test_ghz_fidelity_and_state_dump(self, capsys, tmp_path):
         dump = tmp_path / "state.json"
@@ -211,6 +278,23 @@ class TestCalibrateCommand:
         import math
         assert json.loads(out)["amplitude"] == pytest.approx(math.pi / 2, abs=1e-12)
 
+    @pytest.mark.parametrize("m", ["3", "12", "14", "16"])
+    def test_any_non_negative_m(self, capsys, m):
+        rc, out, _ = run(capsys, "calibrate", "--sin-m", m)
+        assert rc == 0
+        assert json.loads(out)["amplitude"] > 0
+
+    def test_negative_m_is_usage_error(self, capsys):
+        rc, _, err = run(capsys, "calibrate", "--sin-m", "-2")
+        assert rc == 2
+        assert "error:" in err
+
+    def test_sharp_sin_power_simulates(self, capsys):
+        rc, out, _ = run(capsys, "simulate", "--n-sites", "5", "--sin-m", "14",
+                         "--steps", "200")
+        assert rc == 0
+        assert "m=14" in out
+
     def test_requires_exactly_one_shape(self, capsys):
         rc, _, _ = run(capsys, "calibrate")
         assert rc == 2
@@ -234,3 +318,13 @@ class TestDeterminism:
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, spinkick.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    paths = [str(Path(spinkick.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

@@ -12,7 +12,8 @@ class TestAverageFidelity:
     @pytest.mark.parametrize("alpha,expected", [
         (1.0, 1.0),
         (0.0, 0.5),
-        (-1.0, 1.0 / 3.0),
+        (-1.0, 1.0),
+        (-0.96, 0.9736),
         (0.96, 0.9736),
         (0.5, 0.5 * (1.0 + 0.5 * (2.0 / 3.0 + 0.5 / 3.0))),
     ])
@@ -20,13 +21,15 @@ class TestAverageFidelity:
         assert average_fidelity(alpha) == pytest.approx(expected, abs=1e-15)
 
     def test_strictly_increasing(self):
-        grid = np.linspace(-1.0, 1.0, 201)
+        # increasing in |alpha| and even in alpha: the sign is a receiver-frame choice
+        grid = np.linspace(0.0, 1.0, 101)
         vals = [average_fidelity(a) for a in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+        assert [average_fidelity(-a) for a in grid] == vals
 
     def test_clamps_rounding_noise(self):
         assert average_fidelity(1.0 + 5e-10) == 1.0
-        assert average_fidelity(-1.0 - 5e-10) == pytest.approx(1.0 / 3.0)
+        assert average_fidelity(-1.0 - 5e-10) == 1.0
 
     def test_rejects_unphysical_values(self):
         with pytest.raises(NumericalContractError):
@@ -43,6 +46,11 @@ class TestJointAverageFidelity:
     def test_perfect_and_null(self):
         assert joint_average_fidelity(1.0, 1.0) == pytest.approx(1.0)
         assert joint_average_fidelity(0.0, 0.0) == pytest.approx(0.5)
+
+    def test_signs_do_not_matter(self):
+        for a, b in ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+            assert joint_average_fidelity(a, b) == pytest.approx(1.0)
+        assert joint_average_fidelity(-0.5, 0.8) == joint_average_fidelity(0.5, 0.8)
 
     def test_vectorized(self):
         a = np.array([0.0, 0.5, 1.0])
@@ -74,6 +82,17 @@ class TestSweepSpec:
             SweepSpec("sin_power", "m", (4.0, 2.0), {"n_sites": 5})
         with pytest.raises(ValueError):
             SweepSpec("sin_power", "m", (4.0, 4.0), {"n_sites": 5})
+
+    @pytest.mark.parametrize("family,swept,fixed", [
+        ("sin_power", "m", {}),
+        ("sin_power", "n_sites", {"delta": 8.0}),
+        ("square_delta", "n_sites", {"m": 6}),
+        ("ideal_kicks", "scheme", {"n_sites": 3}),
+        ("square_delta", "m", {"n_sites": 5, "delta": 8.0}),
+    ])
+    def test_rejects_parameter_neither_fixed_nor_swept(self, family, swept, fixed):
+        with pytest.raises(ValueError):
+            SweepSpec(family, swept, (2.0,), fixed)
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
@@ -109,6 +128,18 @@ class TestRunSweep:
         assert rows[0].error is not None
         assert math.isnan(rows[0].max_alpha)
         assert rows[1].error is None
+
+    def test_programming_errors_are_raised(self):
+        spec = SweepSpec("ideal_kicks", "n_sites", (3.0,), {"kick_duration": None})
+        with pytest.raises(TypeError):
+            run_sweep(spec)
+
+    def test_fidelity_at_tau_uses_magnitude(self):
+        # ideal JxJy at N = 3 ends with alpha_N = -1: a perfect transfer
+        spec = SweepSpec("ideal_kicks", "n_sites", (3.0,), {"scheme": "JxJy"},
+                         steps_per_pi=20)
+        row, = run_sweep(spec)
+        assert row.fidelity_at_tau == pytest.approx(1.0, abs=1e-9)
 
     def test_sweep_csv_format(self):
         spec = SweepSpec("ideal_kicks", "n_sites", (3.0,), {"scheme": "JxJy"},

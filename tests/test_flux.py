@@ -146,9 +146,18 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(k, sin_power_schedule(3, 4), seed=0)
 
+    @pytest.mark.parametrize("scheme", ["JxJy", "JxB"])
+    def test_ideal_kicks_transfer_exactly_for_every_length(self, scheme):
+        # the closed-form kick order must follow the graph path for odd and even N
+        for n in range(2, 13):
+            r = propagate(_gen(n), ideal_schedule(n, scheme), 1)
+            assert abs(r.alphas[-1, n - 1]) == pytest.approx(1.0, abs=1e-9), n
+
     def test_default_steps_scale(self):
         s = sin_power_schedule(5, 6)  # total time 10*pi
         assert default_steps(s) == 4000
+        assert default_steps(s, 3) == 30
+        assert default_steps(ideal_schedule(3, "JxJy"), 1) == 1
 
 
 class TestMaxAlpha:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from spinkick import (PauliString, build_graph, canonical_index, chain_terms,
+from spinkick import (PauliString, build_graph, canonical_index, chain, chain_terms,
                       export_dot, generator_matrices, graph_json)
 
 import oracles
@@ -36,11 +36,6 @@ class TestCanonicalOrder:
             canonical_index(PauliString.from_text("IZX"))
         with pytest.raises(ValueError):
             canonical_index(PauliString.from_text("XYZ"))
-
-    def test_node_index_is_one_based(self):
-        g = build_graph(3)
-        assert g.node_index(PauliString.from_text("IIX")) == 1
-        assert g.node_index(PauliString.from_text("YZZ")) == 6
 
 
 class TestClosure:
@@ -116,6 +111,16 @@ class TestEdgeSigns:
         k = generator_matrices(build_graph(n_sites))
         for mat in (k.k_jx, k.k_jy, k.k_b):
             np.testing.assert_array_equal(mat.T, -mat)
+
+    def test_chain_is_shared_and_read_only(self):
+        k = chain(4)
+        assert chain(4) is k
+        want = generator_matrices(build_graph(4))
+        assert k.nodes == want.nodes
+        for got, ref in ((k.k_jx, want.k_jx), (k.k_jy, want.k_jy), (k.k_b, want.k_b)):
+            np.testing.assert_array_equal(got, ref)
+            with pytest.raises(ValueError):
+                got[0, 0] = 1.0
 
     def test_combined_is_linear(self):
         k = generator_matrices(build_graph(3))

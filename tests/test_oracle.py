@@ -6,7 +6,7 @@ import pytest
 
 from spinkick import (IdealKickSchedule, KickSlot, PulseSchedule, SiteAssignment,
                       SinPowerSchedule, dump_state_json, evolve_state, final_state,
-                      ghz_compare, ghz_predicted, heisenberg_expectation,
+                      ghz_compare, heisenberg_expectation,
                       ideal_schedule, mirror_state, monte_carlo_average_fidelity,
                       pauli_expectation, product_state, receiver_density,
                       sin_power_schedule)
@@ -198,6 +198,16 @@ class TestFinalState:
         dense = oracles.evolve_windows(psi0, s, grid)[-1]
         assert np.max(np.abs(got - dense)) < 1e-9
 
+    def test_end_state_equals_last_evolved_state(self):
+        s = sin_power_schedule(3, 4)
+        psi0 = product_state(SiteAssignment.parse("+,0,1"))
+        _, states = evolve_state(psi0, s, 90)
+        np.testing.assert_array_equal(final_state(psi0, s, n_steps=90), states[-1])
+
+    def test_rejects_unnormalized_input(self):
+        with pytest.raises(NumericalContractError):
+            final_state(np.ones(4, dtype=complex), _zero_schedule(2), n_steps=4)
+
     def test_read_time_validation(self):
         psi0 = product_state(SiteAssignment.parse("0,0"))
         with pytest.raises(ValueError):
@@ -311,10 +321,6 @@ class TestGhz:
         a = SiteAssignment.parse("X+,0,0,X+")
         report = ghz_compare(a, ideal_schedule(4, "JxB"))
         assert report.fidelity == pytest.approx(1.0, abs=1e-9)
-
-    def test_predicted_helper(self):
-        a = SiteAssignment.parse("X+,0,X+")
-        np.testing.assert_array_equal(ghz_predicted(a), ghz_compare(a).predicted)
 
     def test_mixed_bases_rejected(self):
         a = SiteAssignment([("X", 1), ("Z", 1), ("Z", 1), ("Y", 1)])

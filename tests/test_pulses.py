@@ -14,39 +14,54 @@ from spinkick.pulses import QUARTER_TURN, boxcar_shape, sin_power_hump
 
 class TestCalibration:
     def test_sin6_amplitude(self):
-        shape, window = sin_power_hump(6)
-        assert calibrate_amplitude(shape, window) == pytest.approx(0.8, abs=1e-12)
+        area, _ = sin_power_hump(6)
+        assert calibrate_amplitude(area) == pytest.approx(0.8, abs=1e-12)
 
     def test_sin4_amplitude(self):
-        shape, window = sin_power_hump(4)
-        assert calibrate_amplitude(shape, window) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        area, _ = sin_power_hump(4)
+        assert calibrate_amplitude(area) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_boxcar_amplitude(self):
-        shape, window = boxcar_shape(math.pi / 8)
-        assert calibrate_amplitude(shape, window) == pytest.approx(2.0, abs=1e-12)
+        area, window = boxcar_shape(math.pi / 8)
+        assert window == (0.0, math.pi / 8)
+        assert calibrate_amplitude(area) == pytest.approx(2.0, abs=1e-12)
 
-    @pytest.mark.parametrize("m", [2, 4, 6, 8, 10])
+    @pytest.mark.parametrize("m", range(1, 17))
     def test_calibrated_area_is_quarter_turn(self, m):
-        shape, window = sin_power_hump(m)
-        amp = calibrate_amplitude(shape, window)
-        area, _ = integrate.quad(lambda t: amp * shape(t), *window)
-        assert area == pytest.approx(QUARTER_TURN, abs=1e-10)
+        area, window = sin_power_hump(m)
+        assert window == (0.0, math.pi)
+        amp = calibrate_amplitude(area)
+        # quadrature is the reference here only: its value stays accurate even
+        # where its error estimate is loose (m >= 11)
+        quad_area, _ = integrate.quad(lambda t: amp * math.sin(t) ** m, *window, limit=200)
+        assert quad_area == pytest.approx(QUARTER_TURN, abs=1e-10)
+        if m % 2 == 0:
+            # the constant term of the cosine series is the hump's mean height
+            c0 = SinPowerSchedule(2, m, 1.0, 1.0)._coeffs[0]
+            assert amp == pytest.approx(1.0 / (4.0 * c0), rel=1e-14)
+            assert sin_power_schedule(2, m).j_max == amp
 
     def test_custom_target_area(self):
-        shape, window = boxcar_shape(2.0)
-        assert calibrate_amplitude(shape, window, 1.0) == pytest.approx(0.5)
+        area, _ = boxcar_shape(2.0)
+        assert calibrate_amplitude(area, 1.0) == pytest.approx(0.5)
 
     def test_zero_shape_rejected(self):
         with pytest.raises(ValueError):
-            calibrate_amplitude(lambda t: 0.0, (0.0, 1.0))
+            calibrate_amplitude(0.0)
+        with pytest.raises(ValueError):
+            calibrate_amplitude(-1.0)
 
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError):
-            calibrate_amplitude(lambda t: 1.0, (0.0, 1.0), target_area=0.0)
+            calibrate_amplitude(1.0, target_area=0.0)
 
     def test_boxcar_width_validation(self):
         with pytest.raises(ValueError):
             boxcar_shape(0.0)
+
+    def test_negative_m_rejected(self):
+        with pytest.raises(ValueError):
+            sin_power_hump(-1)
 
 
 class TestIdealSchedule:
@@ -251,6 +266,44 @@ class TestJsonRoundTrip:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             schedule_from_json({"variant": "trapezoid"})
+        with pytest.raises(ValueError):
+            schedule_from_json([1, 2])
+
+    @pytest.mark.parametrize("data", [
+        {"variant": "sin_power", "n_sites": 5},
+        {"variant": "square_delta", "n_sites": 5, "delta": 8.0},
+        {"variant": "ideal_kicks", "n_sites": 3},
+        {"variant": "sin_power", "n_sites": 1, "m": 6, "j_max": 0.8, "b_max": 0.8},
+        {"variant": "sin_power", "n_sites": 2.5, "m": 6, "j_max": 0.8, "b_max": 0.8},
+        {"variant": "sin_power", "n_sites": 3, "m": 6, "j_max": math.nan, "b_max": 0.8},
+        {"variant": "square_delta", "n_sites": 3, "delta": 8.0, "j_const": 0.1,
+         "b_max": math.inf, "pulse_width": 0.4, "period": 6.3},
+        {"variant": "ideal_kicks", "n_sites": 3, "slots": []},
+    ])
+    def test_missing_keys_and_short_chains_rejected(self, data):
+        with pytest.raises(ValueError):
+            schedule_from_json(data)
+
+
+class TestKickSlotValidation:
+    @pytest.mark.parametrize("slot", [
+        ("Q", 0.0, 1.0, 1.0),
+        ("Jx", -0.5, 1.0, 1.0),
+        ("Jx", 0.0, 0.0, 1.0),
+        ("Jx", 0.0, -1.0, 1.0),
+        ("Jx", 0.0, math.inf, 1.0),
+        ("Jx", math.nan, 1.0, 1.0),
+        ("B", 0.0, 1.0, math.nan),
+    ])
+    def test_rejected(self, slot):
+        with pytest.raises(ValueError):
+            KickSlot(*slot)
+
+    def test_json_slot_rejected(self):
+        data = ideal_schedule(3, "JxJy").to_json()
+        data["slots"][1]["channel"] = "Q"
+        with pytest.raises(ValueError):
+            schedule_from_json(data)
 
 
 class TestStepGrid:
