@@ -15,11 +15,10 @@ from .graph import GeneratorMatrix, OperatorGraph, build_graph, canonical_index,
     export_dot, generator_matrices, graph_json
 from .pulses import IdealKickSchedule, KickSlot, PulseSchedule, SinPowerSchedule, \
     SquareDeltaSchedule, calibrate_amplitude, default_steps, ideal_schedule, \
-    schedule_from_json, sin_power_schedule, square_schedule, step_grid
+    schedule_from_json, sin_power_schedule, square_schedule, step_grid, window_amplitudes
 from .flux import FluxResult, information_flux, max_alpha, propagate, series_csv, summary
 from .fidelity import SweepRow, SweepSpec, average_fidelity, joint_average_fidelity, \
-    transfer_read_time, \
-    run_sweep, sweep_csv
+    joint_read_time, run_sweep, sweep_csv, transfer_read_time
 from .oracle import GhzReport, dump_state_json, evolve_state, final_state, ghz_compare, \
     heisenberg_expectation, mirror_state, monte_carlo_average_fidelity, \
     pauli_expectation, product_state, receiver_density
@@ -35,9 +34,9 @@ __all__ = [
     "SquareDeltaSchedule", "ideal_schedule", "calibrate_amplitude",
     "sin_power_schedule", "square_schedule", "schedule_from_json", "step_grid",
     "FluxResult", "propagate", "max_alpha", "information_flux", "default_steps",
-    "series_csv", "summary",
+    "window_amplitudes", "series_csv", "summary",
     "SweepSpec", "SweepRow", "average_fidelity", "joint_average_fidelity", "transfer_read_time",
-    "run_sweep", "sweep_csv",
+    "joint_read_time", "run_sweep", "sweep_csv",
     "evolve_state", "final_state", "heisenberg_expectation", "pauli_expectation",
     "product_state", "receiver_density", "monte_carlo_average_fidelity",
     "mirror_state", "GhzReport", "ghz_compare", "dump_state_json",

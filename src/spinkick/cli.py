@@ -47,20 +47,21 @@ def _schedule_params(schedule) -> dict:
 
 
 def _make_schedule(args) -> object:
-    chosen = [x for x in ("scheme", "sin_m", "square_delta", "schedule") if getattr(args, x, None)]
+    chosen = [x for x in ("scheme", "sin_m", "square_delta", "schedule")
+              if getattr(args, x) is not None]
     if len(chosen) != 1:
         raise ValueError("choose exactly one of --scheme, --sin-m, --square-delta, --schedule")
-    if args.schedule:
+    if args.schedule is not None:
         schedule = schedule_from_json(json.loads(Path(args.schedule).read_text()))
-        if args.n_sites and args.n_sites != schedule.n_sites:
+        if args.n_sites is not None and args.n_sites != schedule.n_sites:
             raise ValueError(f"--n-sites {args.n_sites} conflicts with schedule file "
                              f"(N={schedule.n_sites})")
         return schedule
-    if not args.n_sites:
+    if args.n_sites is None:
         raise ValueError("--n-sites is required")
-    if args.scheme:
+    if args.scheme is not None:
         return ideal_schedule(args.n_sites, args.scheme, args.kick_duration)
-    if args.sin_m:
+    if args.sin_m is not None:
         return sin_power_schedule(args.n_sites, args.sin_m)
     return square_schedule(args.n_sites, args.square_delta)
 
@@ -190,13 +191,11 @@ def cmd_oracle_fidelity(args) -> int:
     schedule = _make_schedule(args)
     n = schedule.n_sites
     n_steps = _steps_for(args, schedule)
-    k = chain(n)
-    result = propagate(k, schedule, n_steps)
+    result = propagate(chain(n), schedule, n_steps)
     if args.read_time == "end":
         read_time = schedule.total_time
     elif args.read_time == "auto":
-        # best joint-transfer time per the flux prediction
-        read_time, _, _ = joint_read_time(result, propagate(k, schedule, n_steps, seed=n + 1))
+        read_time, _, _ = joint_read_time(result)
     else:
         read_time = float(args.read_time)
     alpha_at_read = float(np.interp(read_time, result.times, result.alpha_series(n)))

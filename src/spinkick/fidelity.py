@@ -128,23 +128,17 @@ def sweep_csv(rows: Sequence[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def joint_read_time(result_x: FluxResult, result_y: FluxResult) -> Tuple[float, float, float]:
-    """Grid time of the best joint read-out from the X- and Y-seeded propagations.
+def joint_read_time(result: FluxResult) -> Tuple[float, float, float]:
+    """Grid time of the best joint read-out of both receiver seeds.
 
-    Forms the joint average fidelity from the two site-1 transfer channels and
+    Forms the joint average fidelity from the site-1 transfer block and
     returns (read_time, alpha_xx, alpha_yy) at its grid maximum.
     """
-    x_node = next(i + 1 for i, p in enumerate(result_x.nodes) if p.op_at(1) == "X")
-    y_node = next(i + 1 for i, p in enumerate(result_y.nodes) if p.op_at(1) == "Y")
-    a = result_x.alpha_series(x_node)
-    b = result_y.alpha_series(y_node)
+    a, b = result.transfer[:, 0, 0], result.transfer[:, 1, 1]
     i = int(np.argmax(joint_average_fidelity(a, b)))
-    return float(result_x.times[i]), float(a[i]), float(b[i])
+    return float(result.times[i]), float(a[i]), float(b[i])
 
 
 def transfer_read_time(schedule, n_steps: Optional[int] = None) -> Tuple[float, float, float]:
-    """Best joint read-out time predicted by propagating both receiver operators."""
-    n = schedule.n_sites
-    k = chain(n)
-    return joint_read_time(propagate(k, schedule, n_steps),
-                           propagate(k, schedule, n_steps, seed=n + 1))
+    """Best joint read-out time predicted by one propagation for both receiver seeds."""
+    return joint_read_time(propagate(chain(schedule.n_sites), schedule, n_steps))

@@ -18,37 +18,32 @@ import numpy as np
 from .exceptions import NumericalContractError
 from .graph import GeneratorMatrix
 from .pauli import SiteAssignment, string_expectation
-from .pulses import PulseSchedule, default_steps, step_grid
+from .pulses import PulseSchedule, default_steps, step_grid, window_amplitudes
 
-_SERIES_CUTOFF = 1e-14
-_MAX_SERIES_TERMS = 60
 _MAX_SCALE_DEPTH = 60
+_THETA = np.array([(2.0 ** -53 * math.factorial(m + 1)) ** (1.0 / (m + 1)) for m in range(18)])
 
 
 def expm_series(a: np.ndarray) -> np.ndarray:
     """exp(a) by truncated Taylor series with binary step subdivision.
 
-    The matrix is halved until its 1-norm is at most 0.5 (each halving is one
-    subdivision of the time step, undone by squaring), then summed until the
-    last added term drops below the series cutoff.
+    The matrix is halved until its 1-norm theta is at most 0.5 (each halving
+    is one subdivision of the time step, undone by squaring).  The Horner-form
+    sum stops at the first degree m with theta^(m+1)/(m+1)! <= 2^-53 (_THETA).
     """
     norm = np.linalg.norm(a, 1)
+    if not norm <= 0.5 * 2.0 ** _MAX_SCALE_DEPTH:  # also an infinite or NaN norm
+        raise NumericalContractError(f"step generator norm {norm:g} too large")
     depth = 0
     if norm > 0.5:
         depth = int(math.ceil(math.log2(norm / 0.5)))
-        if depth > _MAX_SCALE_DEPTH:
-            raise NumericalContractError(f"step generator norm {norm:g} too large")
     b = a / 2 ** depth
+    degree = int(np.searchsorted(_THETA, norm / 2 ** depth))
     dim = a.shape[0]
     out = np.eye(dim)
-    term = np.eye(dim)
-    for l in range(1, _MAX_SERIES_TERMS + 1):
-        term = term @ b / l
-        out = out + term
-        if np.linalg.norm(term, 1) <= _SERIES_CUTOFF:
-            break
-    else:
-        raise NumericalContractError("exponential series did not converge")
+    for l in range(degree, 0, -1):  # I + b/1 (I + b/2 (... (I + b/m)))
+        out = b @ out / l
+        out.flat[::dim + 1] += 1.0
     for _ in range(depth):
         out = out @ out
     return out
@@ -60,6 +55,7 @@ class FluxResult:
 
     times: np.ndarray          # shape (T,)
     alphas: np.ndarray         # shape (T, dim), row per stored time
+    transfer: np.ndarray       # shape (T, 2, 2), site-1 X, Y rows of the X_N, Y_N columns
     seed: int                  # 1-based canonical node index
     nodes: Tuple               # canonical PauliString labels
     n_sites: int
@@ -91,18 +87,19 @@ def propagate(k: GeneratorMatrix, schedule: PulseSchedule,
     if n_steps is None:
         n_steps = default_steps(schedule)
     grid = step_grid(schedule, n_steps)
+    # site-1 rows found by operator: their canonical indices swap with the parity of N
+    rows = [next(i for i, p in enumerate(k.nodes) if p.op_at(1) == op) for op in "XY"]
+    block = np.ix_(rows, [0, k.n_sites])
     alphas = np.zeros((len(grid), dim))
     alphas[0, seed - 1] = 1.0
+    transfer = np.zeros((len(grid), 2, 2))  # at t = 0 both seeds sit on site N
     product = np.eye(dim)
-    for i in range(len(grid) - 1):
-        t0, t1 = grid[i], grid[i + 1]
-        jx, jy, b = schedule.average_amplitudes(t0, t1)
-        if not (math.isfinite(jx) and math.isfinite(jy) and math.isfinite(b)):
-            raise NumericalContractError(f"non-finite amplitudes in [{t0}, {t1}]")
-        generator = 2.0 * (t1 - t0) * k.combined(jx, jy, b)
+    for i, (jx, jy, b) in enumerate(window_amplitudes(schedule, grid)):
+        generator = 2.0 * (grid[i + 1] - grid[i]) * k.combined(jx, jy, b)
         product = product @ expm_series(generator)
         alphas[i + 1] = product[:, seed - 1]
-    return FluxResult(times=grid, alphas=alphas, seed=seed,
+        transfer[i + 1] = product[block]
+    return FluxResult(times=grid, alphas=alphas, transfer=transfer, seed=seed,
                       nodes=k.nodes, n_sites=k.n_sites)
 
 

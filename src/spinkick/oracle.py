@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import NumericalContractError, ResourceCapError
 from .pauli import SiteAssignment
-from .pulses import PulseSchedule, default_steps, ideal_schedule, step_grid
+from .pulses import PulseSchedule, default_steps, ideal_schedule, step_grid, window_amplitudes
 
 RESOURCE_CAP_SITES = 14  # 2^14 amplitudes by default; override explicitly
 
@@ -119,8 +119,7 @@ def _step_windows(psi0: np.ndarray, schedule: PulseSchedule, n_steps: Optional[i
     chain = _ChainAction(n)
     states = np.empty((len(grid) if keep_series else 1, len(psi)), dtype=complex)
     states[0] = psi
-    for i in range(len(grid) - 1):
-        jx, jy, b = schedule.average_amplitudes(grid[i], grid[i + 1])
+    for i, (jx, jy, b) in enumerate(window_amplitudes(schedule, grid)):
         psi = chain.step(psi, grid[i + 1] - grid[i], jx, jy, b)
         states[i + 1 if keep_series else 0] = psi
     drift = np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0))
@@ -283,12 +282,11 @@ def mirror_state(psi: np.ndarray, n_sites: int) -> np.ndarray:
     """Site permutation i <-> N+1-i, i.e. bit reversal of the basis index."""
     if len(psi) != (1 << n_sites):
         raise ValueError("state length does not match n_sites")
-    perm = np.empty(len(psi), dtype=np.int64)
-    for i in range(len(psi)):
-        perm[i] = int(format(i, f"0{n_sites}b")[::-1], 2)
-    out = np.empty_like(psi)
-    out[perm] = psi
-    return out
+    idx = np.arange(len(psi))
+    perm = np.zeros_like(idx)
+    for k in range(n_sites):
+        perm |= ((idx >> k) & 1) << (n_sites - 1 - k)
+    return psi[perm]  # bit reversal is its own inverse
 
 
 @dataclass(frozen=True)

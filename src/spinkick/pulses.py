@@ -9,11 +9,12 @@ step boundaries fall.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
+from .exceptions import NumericalContractError
 from .pauli import CHANNELS
 
 QUARTER_TURN = math.pi / 4  # per-kick pulse area for a full coefficient swap
@@ -32,7 +33,8 @@ class PulseSchedule:
     def amplitudes(self, t: float) -> Tuple[float, float, float]:
         raise NotImplementedError
 
-    def average_amplitudes(self, t0: float, t1: float) -> Tuple[float, float, float]:
+    def average_amplitudes(self, t0, t1) -> Tuple:
+        """Averages (jx, jy, b) over [t0, t1], elementwise on arrays; a channel may be a scalar."""
         raise NotImplementedError
 
     def discontinuities(self) -> Tuple[float, ...]:
@@ -89,9 +91,8 @@ class IdealKickSchedule(PulseSchedule):
     def average_amplitudes(self, t0, t1):
         acc = {"Jx": 0.0, "Jy": 0.0, "B": 0.0}
         for s in self.slots:
-            overlap = min(t1, s.end) - max(t0, s.start)
-            if overlap > 0:
-                acc[s.channel] += s.amplitude * overlap
+            overlap = np.minimum(t1, s.end) - np.maximum(t0, s.start)
+            acc[s.channel] += s.amplitude * np.maximum(overlap, 0.0)
         dt = t1 - t0
         return acc["Jx"] / dt, acc["Jy"] / dt, acc["B"] / dt
 
@@ -107,11 +108,7 @@ class IdealKickSchedule(PulseSchedule):
             "n_sites": self.n_sites,
             "scheme": self.scheme,
             "total_time": self.total_time,
-            "slots": [
-                {"channel": s.channel, "start": s.start,
-                 "duration": s.duration, "amplitude": s.amplitude}
-                for s in self.slots
-            ],
+            "slots": [asdict(s) for s in self.slots],
         }
 
 
@@ -132,11 +129,11 @@ class SinPowerSchedule(PulseSchedule):
         coeffs += [2.0 / 2 ** m * (-1) ** j * math.comb(m, half - j) for j in range(1, half + 1)]
         self._coeffs = np.array(coeffs)
 
-    def _antiderivative(self, x: float) -> float:
+    def _antiderivative(self, x):
         c = self._coeffs
         v = c[0] * x
         for j in range(1, len(c)):
-            v += c[j] * math.sin(2 * j * x) / (2 * j)
+            v += c[j] * np.sin(2 * j * x) / (2 * j)
         return v
 
     def amplitudes(self, t):
@@ -198,7 +195,7 @@ class SquareDeltaSchedule(PulseSchedule):
         w = self.pulse_width
         overlap = 0.0
         for c in self.centers:
-            overlap += max(0.0, min(t1, c + w / 2) - max(t0, c - w / 2))
+            overlap += np.maximum(0.0, np.minimum(t1, c + w / 2) - np.maximum(t0, c - w / 2))
         dt = t1 - t0
         return self.j_const, 0.0, self.b_max * overlap / dt
 
@@ -305,6 +302,7 @@ _JSON_KEYS = {
     "sin_power": ("n_sites", "m", "j_max", "b_max"),
     "square_delta": ("n_sites", "delta", "j_const", "b_max", "pulse_width", "period"),
 }
+_SLOT_KEYS = ("channel", "start", "duration", "amplitude")
 
 
 def schedule_from_json(data: dict) -> PulseSchedule:
@@ -321,8 +319,12 @@ def schedule_from_json(data: dict) -> PulseSchedule:
     if not all(math.isfinite(data[k]) for k in _JSON_KEYS[variant] if k != "slots"):
         raise ValueError(f"non-finite number in {variant} schedule")
     if variant == "ideal_kicks":
-        slots = [KickSlot(d["channel"], d["start"], d["duration"], d["amplitude"])
-                 for d in data["slots"]]
+        slots = []
+        for i, d in enumerate(data["slots"]):
+            missing = [k for k in _SLOT_KEYS if not isinstance(d, dict) or k not in d]
+            if missing:
+                raise ValueError(f"slot {i} is missing {', '.join(missing)}")
+            slots.append(KickSlot(*(d[k] for k in _SLOT_KEYS)))
         return IdealKickSchedule(n, slots, scheme=data.get("scheme", ""))
     if variant == "sin_power":
         return SinPowerSchedule(n, data["m"], data["j_max"], data["b_max"])
@@ -342,3 +344,14 @@ def step_grid(schedule: PulseSchedule, n_steps: int) -> np.ndarray:
     base = np.linspace(0.0, schedule.total_time, n_steps + 1)
     interior = [d for d in schedule.discontinuities() if 0.0 < d < schedule.total_time]
     return np.unique(np.concatenate([base, np.asarray(interior)]))
+
+
+def window_amplitudes(schedule: PulseSchedule, grid: np.ndarray) -> np.ndarray:
+    """(W, 3) table of the window averages (jx, jy, b) over the W windows of a grid."""
+    out = np.empty((len(grid) - 1, 3))
+    for j, column in enumerate(schedule.average_amplitudes(grid[:-1], grid[1:])):
+        out[:, j] = column
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise NumericalContractError(f"non-finite amplitudes from t = {grid[bad[0]]}")
+    return out

@@ -49,6 +49,42 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--n-sites", "3", "--sin-m", "0"], "m must be a positive even integer, got 0"),
+        (["--n-sites", "3", "--square-delta", "0"], "delta must exceed 1"),
+        (["--n-sites", "0", "--sin-m", "4"], "need at least 2 sites"),
+        (["--n-sites", "3", "--scheme", "JxJy", "--sin-m", "0"], "choose exactly one"),
+    ])
+    def test_zero_valued_flags_reach_their_own_check(self, capsys, argv, message):
+        rc, out, err = run(capsys, "simulate", *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and message in err
+
+    def test_schedule_file_slot_missing_key_is_named(self, capsys, tmp_path):
+        slots = [{"channel": "Jx", "start": 0.0, "duration": 1.0, "amplitude": 0.7},
+                 {"channel": "Jy", "start": 1.0, "duration": 1.0}]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"variant": "ideal_kicks", "n_sites": 3, "slots": slots}))
+        rc, out, err = run(capsys, "simulate", "--schedule", str(path))
+        assert rc == 2
+        assert out == ""
+        assert err == "error: slot 1 is missing amplitude\n"
+
+    # 1e308 over one window overflows the generator to inf, which numpy warns about
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("amplitude,steps", [(1e30, []), (1e308, ["--steps", "1"])])
+    @pytest.mark.parametrize("command", [["simulate"], ["oracle", "compare"]])
+    def test_huge_kick_is_numerical_error(self, capsys, tmp_path, command, amplitude, steps):
+        slot = {"channel": "Jx", "start": 0.0, "duration": 1.0, "amplitude": amplitude}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"variant": "ideal_kicks", "n_sites": 3, "slots": [slot]}))
+        rc, out, err = run(capsys, *command, "--schedule", str(path), *steps)
+        assert rc == 3
+        assert out == ""
+        assert "Traceback" not in err
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+
     def test_schedule_file_bad_slot_is_usage_error(self, capsys, tmp_path):
         slot = {"channel": "Q", "start": 0.0, "duration": -1, "amplitude": 1.0}
         path = tmp_path / "s.json"
@@ -237,10 +273,17 @@ class TestOracleCommands:
         assert report["closed_form"] == pytest.approx(1.0, abs=1e-9)
         assert report["monte_carlo_mean"] == pytest.approx(1.0, abs=1e-9)
 
-    def test_fidelity_auto_read_time(self, capsys):
+    def test_fidelity_auto_read_time(self, capsys, monkeypatch):
+        import spinkick.cli
+
+        calls = []
+        real = spinkick.cli.propagate
+        monkeypatch.setattr(spinkick.cli, "propagate",
+                            lambda *args, **kw: calls.append(args) or real(*args, **kw))
         rc, out, _ = run(capsys, "oracle", "fidelity", "--n-sites", "3",
                          "--scheme", "JxB", "--steps", "30", "--samples", "50")
         assert rc == 0
+        assert len(calls) == 1  # one propagation serves both receiver seeds
         report = json.loads(out)
         assert report["read_time"] == pytest.approx(5.0)
         assert report["closed_form"] == pytest.approx(1.0, abs=1e-9)

@@ -161,6 +161,17 @@ class TestTransferReadTime:
         assert b == pytest.approx(1.0, abs=1e-9)
         assert joint_average_fidelity(a, b) == pytest.approx(1.0, abs=1e-9)
 
+    def test_one_propagation_serves_both_seeds(self, monkeypatch):
+        from spinkick import fidelity
+
+        calls = []
+        real = fidelity.propagate
+        monkeypatch.setattr(fidelity, "propagate",
+                            lambda *args, **kw: calls.append(args) or real(*args, **kw))
+        _, a, b = transfer_read_time(ideal_schedule(4, "JxB"), 40)
+        assert len(calls) == 1
+        assert (abs(a), abs(b)) == pytest.approx((1.0, 1.0), abs=1e-9)
+
     def test_read_time_attains_joint_grid_maximum(self):
         from spinkick import build_graph, generator_matrices, propagate
 

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from spinkick import (FluxResult, IdealKickSchedule, KickSlot, SiteAssignment,
-                      SinPowerSchedule, build_graph, generator_matrices,
+                      SinPowerSchedule, build_graph, chain, generator_matrices,
                       information_flux, max_alpha, propagate, series_csv,
                       sin_power_schedule, square_schedule, summary, ideal_schedule)
 from spinkick.exceptions import NumericalContractError
@@ -39,6 +40,28 @@ class TestExpmSeries:
         a = 3.0 * (a - a.T)
         u = expm_series(a)
         np.testing.assert_allclose(u @ u.T, np.eye(10), atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 10),
+           jx=st.floats(-3.0, 3.0), jy=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
+           dt=st.floats(1e-3, 4.0))
+    def test_window_maps_match_scipy(self, n, jx, jy, b, dt):
+        # window generators of every chain length, 1-norms up to ~70 (depth up to 8)
+        a = 2.0 * dt * chain(n).combined(jx, jy, b)
+        u = expm_series(a)
+        np.testing.assert_allclose(u, expm(a), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(u @ u.T, np.eye(2 * n), rtol=0, atol=1e-12)
+
+    def test_squaring_is_exercised(self):
+        a = 2.0 * 4.0 * chain(10).combined(3.0, -3.0, 3.0)
+        assert np.linalg.norm(a, 1) > 32.0  # at least six halvings
+        np.testing.assert_allclose(expm_series(a), expm(a), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e30, np.inf, np.nan])
+    def test_depth_guard(self, scale):
+        a = np.array([[0.0, scale], [-scale, 0.0]])
+        with pytest.raises(NumericalContractError, match="too large"):
+            expm_series(a)
 
 
 class TestPropagate:
@@ -153,6 +176,26 @@ class TestPropagate:
             r = propagate(_gen(n), ideal_schedule(n, scheme), 1)
             assert abs(r.alphas[-1, n - 1]) == pytest.approx(1.0, abs=1e-9), n
 
+    @pytest.mark.parametrize("n_sites", range(2, 8))
+    @pytest.mark.parametrize("make", [
+        lambda n: sin_power_schedule(n, 6), lambda n: square_schedule(n, 8.0),
+        lambda n: ideal_schedule(n, "JxJy"), lambda n: ideal_schedule(n, "JxB"),
+    ], ids=["sin6", "square8", "JxJy", "JxB"])
+    def test_transfer_block_matches_both_seeded_runs(self, n_sites, make):
+        s, k = make(n_sites), _gen(n_sites)
+        rx = propagate(k, s, 60, seed=1)
+        ry = propagate(k, s, 60, seed=n_sites + 1)
+        # the site-1 X node is canonical index N for odd N and 2N for even N
+        x1 = n_sites if n_sites % 2 else 2 * n_sites
+        y1 = 2 * n_sites if n_sites % 2 else n_sites
+        assert rx.nodes[x1 - 1].op_at(1) == "X" and rx.nodes[y1 - 1].op_at(1) == "Y"
+        for result in (rx, ry):  # either seed's run records the block of both
+            assert result.transfer.shape == (len(result.times), 2, 2)
+            for row, node in enumerate((x1, y1)):
+                for col, seeded in enumerate((rx, ry)):
+                    np.testing.assert_allclose(result.transfer[:, row, col],
+                                               seeded.alpha_series(node), rtol=0, atol=1e-12)
+
     def test_default_steps_scale(self):
         s = sin_power_schedule(5, 6)  # total time 10*pi
         assert default_steps(s) == 4000
@@ -191,7 +234,8 @@ class TestMaxAlpha:
         times = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
         alphas = np.zeros((5, 4))
         alphas[:, 0] = [0.0, 0.6, 0.0, 0.6, 0.0]
-        r = FluxResult(times=times, alphas=alphas, seed=1, nodes=nodes, n_sites=2)
+        r = FluxResult(times=times, alphas=alphas, transfer=np.zeros((5, 2, 2)), seed=1,
+                       nodes=nodes, n_sites=2)
         t_star, value = max_alpha(r, 1)
         assert t_star == pytest.approx(1.0)
         assert value == pytest.approx(0.6)

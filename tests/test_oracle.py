@@ -281,6 +281,14 @@ class TestMirrorState:
         with pytest.raises(ValueError):
             mirror_state(np.zeros(6), 3)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_string_reversal(self, n):
+        psi = np.arange(1 << n) + 0.5j
+        expected = np.empty_like(psi)
+        for i in range(1 << n):
+            expected[int(format(i, f"0{n}b")[::-1], 2)] = psi[i]
+        np.testing.assert_array_equal(mirror_state(psi, n), expected)
+
 
 class TestGhz:
     @pytest.mark.parametrize("tokens", ["X+,0,0,X+", "X-,0,0,X-", "X+,X+,X+,X+"])

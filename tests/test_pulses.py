@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from spinkick import (IdealKickSchedule, KickSlot, SinPowerSchedule,
-                      SquareDeltaSchedule, calibrate_amplitude, ideal_schedule,
-                      schedule_from_json, sin_power_schedule, square_schedule,
-                      step_grid)
+from spinkick import (IdealKickSchedule, KickSlot, PulseSchedule, SinPowerSchedule,
+                      SiteAssignment, SquareDeltaSchedule, calibrate_amplitude, chain,
+                      evolve_state, ideal_schedule, product_state, propagate,
+                      schedule_from_json, sin_power_schedule, square_schedule, step_grid,
+                      window_amplitudes)
+from spinkick import flux, oracle
 from spinkick.exceptions import NumericalContractError
 from spinkick.pulses import QUARTER_TURN, boxcar_shape, sin_power_hump
 
@@ -305,6 +307,19 @@ class TestKickSlotValidation:
         with pytest.raises(ValueError):
             schedule_from_json(data)
 
+    @pytest.mark.parametrize("key", ["channel", "start", "duration", "amplitude"])
+    def test_json_slot_missing_key_named(self, key):
+        data = ideal_schedule(3, "JxJy").to_json()
+        del data["slots"][2][key]
+        with pytest.raises(ValueError, match=f"slot 2 is missing {key}"):
+            schedule_from_json(data)
+
+    def test_json_slot_not_an_object(self):
+        data = ideal_schedule(3, "JxJy").to_json()
+        data["slots"][0] = [0.0, 1.0]
+        with pytest.raises(ValueError, match="slot 0 is missing channel, start, duration"):
+            schedule_from_json(data)
+
 
 class TestStepGrid:
     def test_includes_discontinuities(self):
@@ -324,3 +339,55 @@ class TestStepGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             step_grid(sin_power_schedule(3, 4), 0)
+
+
+class _ScalarXY(PulseSchedule):
+    """Constant Jx = Jy coupling whose averages come back as plain scalars."""
+
+    def __init__(self, n_sites, j, total_time):
+        self.n_sites, self.j, self.total_time = n_sites, j, total_time
+
+    def average_amplitudes(self, t0, t1):
+        return self.j, self.j, 0.0
+
+
+class _LateNaN(PulseSchedule):
+    """Finite field except in the last window, where the average is NaN."""
+
+    n_sites = 3
+    total_time = 1.0
+
+    def average_amplitudes(self, t0, t1):
+        return 0.5, 0.0, np.where(t1 > 0.9, np.nan, 0.2)
+
+
+class TestWindowAmplitudes:
+    @pytest.mark.parametrize("schedule", [
+        sin_power_schedule(4, 6), sin_power_schedule(3, 2),
+        square_schedule(4, 8.0), square_schedule(3, 16.5),
+        ideal_schedule(5, "JxJy", 0.7), ideal_schedule(4, "JxB"),
+        _ScalarXY(3, 0.8, 4.0),
+    ], ids=lambda s: type(s).__name__)
+    def test_matches_per_window_scalar_averages(self, schedule):
+        # a coarse grid puts window edges inside pulses and on every discontinuity
+        grid = step_grid(schedule, 37)
+        expected = np.array([schedule.average_amplitudes(float(t0), float(t1))
+                             for t0, t1 in zip(grid[:-1], grid[1:])])
+        table = window_amplitudes(schedule, grid)
+        assert table.shape == (len(grid) - 1, 3)
+        assert np.array_equal(table, expected)
+
+    def test_non_finite_window_named(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(NumericalContractError, match="from t = 0.9"):
+            window_amplitudes(_LateNaN(), grid)
+
+    def test_both_engines_reject_before_any_step(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("stepped a window")
+        monkeypatch.setattr(flux, "expm_series", no_step)
+        monkeypatch.setattr(oracle._ChainAction, "step", no_step)
+        with pytest.raises(NumericalContractError):
+            propagate(chain(3), _LateNaN(), 10)
+        with pytest.raises(NumericalContractError):
+            evolve_state(product_state(SiteAssignment.parse("+,0,0")), _LateNaN(), 10)
