@@ -94,11 +94,12 @@ def propagate(k: GeneratorMatrix, schedule: PulseSchedule,
     alphas[0, seed - 1] = 1.0
     transfer = np.zeros((len(grid), 2, 2))  # at t = 0 both seeds sit on site N
     product = np.eye(dim)
-    for i, (jx, jy, b) in enumerate(window_amplitudes(schedule, grid)):
-        generator = 2.0 * (grid[i + 1] - grid[i]) * k.combined(jx, jy, b)
-        product = product @ expm_series(generator)
-        alphas[i + 1] = product[:, seed - 1]
-        transfer[i + 1] = product[block]
+    with np.errstate(over="ignore", invalid="ignore"):  # expm_series rejects an inf or NaN norm
+        for i, (jx, jy, b) in enumerate(window_amplitudes(schedule, grid)):
+            generator = 2.0 * (grid[i + 1] - grid[i]) * k.combined(jx, jy, b)
+            product = product @ expm_series(generator)
+            alphas[i + 1] = product[:, seed - 1]
+            transfer[i + 1] = product[block]
     return FluxResult(times=grid, alphas=alphas, transfer=transfer, seed=seed,
                       nodes=k.nodes, n_sites=k.n_sites)
 

@@ -4,14 +4,16 @@ Works directly on the 2^N amplitude vector with matrix-free Hamiltonian
 application: the Z field is diagonal, XX flips a bond, and YY flips a bond
 with a configuration-dependent sign.  Site 1 is the most significant bit of
 the basis index, site N the least significant.  Serves as the independent
-cross-check for the operator-graph propagation.
+cross-check for the operator-graph propagation.  One loop steps the windows,
+each by a Taylor series whose depth and degree a norm bound fixes up front, and
+streams the states, so final_state and heisenberg_expectation hold one at a time.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -21,9 +23,10 @@ from .pulses import PulseSchedule, default_steps, ideal_schedule, step_grid, win
 
 RESOURCE_CAP_SITES = 14  # 2^14 amplitudes by default; override explicitly
 
-_STEP_CUTOFF = 1e-13
-_MAX_STEP_TERMS = 100
 _NORM_TOL = 1e-10
+_MAX_DEPTH = 20  # at most 2^20 Taylor substeps per window
+_THETA = np.array([[(1e-13 / 2 ** d * math.factorial(m + 1)) ** (1.0 / (m + 1)) for m in range(18)]
+                   for d in range(_MAX_DEPTH + 1)])  # [depth, degree] -> largest substep bound
 
 
 def _check_cap(n_sites: int, allow_large: bool):
@@ -73,59 +76,50 @@ class _ChainAction:
         return out
 
     def step(self, psi: np.ndarray, dt: float, jx: float, jy: float, b: float) -> np.ndarray:
-        """exp(-i*dt*H) psi by Taylor series with binary subdivision."""
-        bound = dt * ((abs(jx) + abs(jy)) * (self.n_sites - 1) + abs(b) * self.n_sites)
+        """exp(-i*dt*H) psi: with theta = dt*((|jx|+|jy|)(N-1) + |b|N) >= dt*||H||, 2^depth
+        Horner-form Taylor substeps of bound s = theta/2^depth <= 0.4, each to the first
+        degree m with 2^depth * s^(m+1)/(m+1)! <= 1e-13 (_THETA), so the window meets 1e-13."""
+        theta = dt * ((abs(jx) + abs(jy)) * (self.n_sites - 1) + abs(b) * self.n_sites)
+        if not theta <= 0.4 * 2 ** _MAX_DEPTH:  # also an infinite or NaN bound
+            raise NumericalContractError(
+                f"state-vector step bound {theta:g} needs more than 2^{_MAX_DEPTH} substeps")
         depth = 0
-        if bound > 0.4:
-            depth = int(math.ceil(math.log2(bound / 0.4)))
+        if theta > 0.4:
+            depth = int(math.ceil(math.log2(theta / 0.4)))
         sub = dt / (1 << depth)
+        degree = int(np.searchsorted(_THETA[depth], theta / (1 << depth)))
         for _ in range(1 << depth):
-            term = psi
-            acc = psi.copy()
-            for l in range(1, _MAX_STEP_TERMS + 1):
-                term = (-1j * sub / l) * self.apply(term, jx, jy, b)
-                acc = acc + term
-                if np.linalg.norm(term) <= _STEP_CUTOFF * max(1.0, np.linalg.norm(acc)):
-                    break
-            else:
-                raise NumericalContractError("state-vector step series did not converge")
-            psi = acc
+            out = psi
+            for l in range(degree, 0, -1):  # psi + h/1 (psi + h/2 (... (psi + h/m psi)))
+                out = psi + (-1j * sub / l) * self.apply(out, jx, jy, b)
+            psi = out
         return psi
 
 
-def _sites_of(psi: np.ndarray, schedule: PulseSchedule) -> int:
-    n = schedule.n_sites
-    if len(psi) != (1 << n):
-        raise ValueError(f"state has {len(psi)} amplitudes, schedule expects {1 << n}")
-    return n
-
-
 def _step_windows(psi0: np.ndarray, schedule: PulseSchedule, n_steps: Optional[int],
-                  allow_large: bool, read_time: float,
-                  keep_series: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """The stepping loop of evolve_state and final_state.
+                  allow_large: bool, read_time: float) -> Iterator[Tuple[float, np.ndarray]]:
+    """The window loop of evolve_state, final_state and heisenberg_expectation.
 
-    Steps psi0 through every window of the step grid up to read_time and
-    returns (grid, states): one row per grid time when keep_series is set,
-    else only the final state, so a long run holds one vector.
+    Yields (t, state) at every time of the step grid up to read_time, psi0
+    first, each state after its unit-norm check; the caller keeps what it reads.
     """
-    n = _sites_of(psi0, schedule)
+    n = schedule.n_sites
+    if len(psi0) != (1 << n):
+        raise ValueError(f"state has {len(psi0)} amplitudes, schedule expects {1 << n}")
     _check_cap(n, allow_large)
-    psi = np.asarray(psi0, dtype=complex)
-    if abs(np.linalg.norm(psi) - 1.0) > _NORM_TOL:
-        raise NumericalContractError("initial state is not normalized")
     grid = step_grid(schedule, default_steps(schedule) if n_steps is None else n_steps)
     grid = np.append(grid[grid < read_time], read_time)
+    amplitudes = window_amplitudes(schedule, grid).tolist()
     chain = _ChainAction(n)
-    states = np.empty((len(grid) if keep_series else 1, len(psi)), dtype=complex)
-    states[0] = psi
-    for i, (jx, jy, b) in enumerate(window_amplitudes(schedule, grid)):
-        psi = chain.step(psi, grid[i + 1] - grid[i], jx, jy, b)
-        states[i + 1 if keep_series else 0] = psi
-    drift = np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0))
-    if drift > _NORM_TOL:
-        raise NumericalContractError(f"evolution norm drift {drift:g} exceeds {_NORM_TOL:g}")
-    return grid, states
+    times = grid.tolist()
+    psi = np.array(psi0, dtype=complex)
+    for i, t in enumerate(times):
+        if i:
+            psi = chain.step(psi, t - times[i - 1], *amplitudes[i - 1])
+        drift = abs(np.linalg.norm(psi) - 1.0)
+        if drift > _NORM_TOL:
+            raise NumericalContractError(f"state norm off 1 by {drift:g} at t = {t:g}")
+        yield t, psi
 
 
 def evolve_state(psi0: np.ndarray, schedule: PulseSchedule,
@@ -136,7 +130,8 @@ def evolve_state(psi0: np.ndarray, schedule: PulseSchedule,
     Step boundaries include all schedule discontinuities and each window uses
     the window-averaged amplitudes, mirroring the coefficient propagation.
     """
-    return _step_windows(psi0, schedule, n_steps, allow_large, schedule.total_time, True)
+    times, states = zip(*_step_windows(psi0, schedule, n_steps, allow_large, schedule.total_time))
+    return np.array(times), np.stack(states)
 
 
 def final_state(psi0: np.ndarray, schedule: PulseSchedule,
@@ -148,8 +143,9 @@ def final_state(psi0: np.ndarray, schedule: PulseSchedule,
         read_time = schedule.total_time
     if not 0.0 <= read_time <= schedule.total_time:
         raise ValueError(f"read_time {read_time} outside [0, {schedule.total_time}]")
-    _, states = _step_windows(psi0, schedule, n_steps, allow_large, read_time, False)
-    return states[0]
+    for _, psi in _step_windows(psi0, schedule, n_steps, allow_large, read_time):
+        pass
+    return psi
 
 
 def pauli_expectation(psi: np.ndarray, label: str) -> float:
@@ -180,14 +176,15 @@ def pauli_expectation(psi: np.ndarray, label: str) -> float:
 def heisenberg_expectation(op_site_n: str, psi0: np.ndarray, schedule: PulseSchedule,
                            n_steps: Optional[int] = None,
                            allow_large: bool = False) -> Tuple[np.ndarray, np.ndarray]:
-    """<O_N(t)> for O in {X, Y}: evolve the state, measure at every grid time."""
-    if op_site_n.upper() not in ("X", "Y"):
+    """<O_N(t)> for O in {X, Y}: the receiver's Bloch component at every grid time,
+    measured as each state arrives, so no series of states is kept."""
+    op = op_site_n.upper()
+    if op not in ("X", "Y"):
         raise ValueError("receiver operator must be X or Y")
-    n = _sites_of(psi0, schedule)
-    label = "I" * (n - 1) + op_site_n.upper()
-    times, states = evolve_state(psi0, schedule, n_steps, allow_large)
-    values = np.array([pauli_expectation(s, label) for s in states])
-    return times, values
+    axis = "XY".index(op)
+    times, values = zip(*((t, _bloch(receiver_density(psi))[axis]) for t, psi in
+                          _step_windows(psi0, schedule, n_steps, allow_large, schedule.total_time)))
+    return np.array(times), np.array(values)
 
 
 def receiver_density(psi: np.ndarray) -> np.ndarray:

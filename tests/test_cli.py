@@ -71,8 +71,9 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: slot 1 is missing amplitude\n"
 
-    # 1e308 over one window overflows the generator to inf, which numpy warns about
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # 1e308 over one window overflows the generator to inf: the error line must come alone,
+    # with no numpy warning ahead of it
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("amplitude,steps", [(1e30, []), (1e308, ["--steps", "1"])])
     @pytest.mark.parametrize("command", [["simulate"], ["oracle", "compare"]])
     def test_huge_kick_is_numerical_error(self, capsys, tmp_path, command, amplitude, steps):

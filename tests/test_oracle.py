@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
+from spinkick import oracle
 from spinkick import (IdealKickSchedule, KickSlot, PulseSchedule, SiteAssignment,
                       SinPowerSchedule, dump_state_json, evolve_state, final_state,
                       ghz_compare, heisenberg_expectation,
@@ -142,6 +145,49 @@ class TestEvolveState:
             evolve_state(psi0, _zero_schedule(3), 4)
 
 
+class TestWindowStep:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 6),
+           jx=st.floats(-3.0, 3.0), jy=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
+           dt=st.floats(1e-3, 4.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_scipy(self, n, jx, jy, b, dt, seed):
+        # norm bounds up to 4*(6*5 + 3*6) = 192, so up to 9 subdivisions
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi = psi / np.linalg.norm(psi)
+        got = oracle._ChainAction(n).step(psi, dt, jx, jy, b)
+        want = expm(-1j * dt * oracles.chain_hamiltonian(n, jx, jy, b)) @ psi
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert abs(np.linalg.norm(got) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("amplitude", [1e30, np.inf, np.nan])
+    def test_depth_guard(self, amplitude):
+        psi = product_state(SiteAssignment.parse("+,0"))
+        with pytest.raises(NumericalContractError, match="substeps"):
+            oracle._ChainAction(2).step(psi, 1.0, amplitude, 0.0, 0.0)
+
+    @pytest.mark.parametrize("run", [
+        lambda psi0, s: final_state(psi0, s, n_steps=1),
+        lambda psi0, s: evolve_state(psi0, s, 1),
+        lambda psi0, s: monte_carlo_average_fidelity(s, 10, seed=1, n_steps=1),
+    ], ids=["final_state", "evolve_state", "monte_carlo"])
+    def test_huge_kick_raises_instead_of_hanging(self, monkeypatch, run):
+        apply = oracle._ChainAction.apply
+        calls = []
+
+        def counted(self, *args):
+            calls.append(None)
+            if len(calls) > 1000:
+                raise AssertionError("the step kept subdividing past 1000 H applications")
+            return apply(self, *args)
+
+        monkeypatch.setattr(oracle._ChainAction, "apply", counted)
+        kick = IdealKickSchedule(2, [KickSlot("Jx", 0.0, 1.0, 1e30)])
+        with pytest.raises(NumericalContractError, match="substeps"):
+            run(product_state(SiteAssignment.parse("+,0")), kick)
+        assert not calls
+
+
 class TestConservationLaws:
     def test_field_conserves_every_z(self):
         psi0 = product_state(SiteAssignment.parse("+,0,1"))
@@ -180,6 +226,24 @@ class TestHeisenbergExpectation:
         psi0 = product_state(SiteAssignment.parse("+,0,0"))
         _, values = heisenberg_expectation("X", psi0, ideal_schedule(3, "JxJy"), 30)
         assert abs(values[-1]) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("op", ["X", "Y"])
+    @pytest.mark.parametrize("make,n_steps", [
+        (lambda: sin_power_schedule(4, 6), None),
+        (lambda: ideal_schedule(5, "JxB"), 50),
+    ], ids=["sin6-N4", "JxB-N5"])
+    def test_streamed_matches_pauli_expectation(self, op, make, n_steps):
+        """The streamed Bloch component equals pauli_expectation on the stored series."""
+        s = make()
+        sender = np.array([1.0, np.exp(0.25j * np.pi)]) / math.sqrt(2.0)  # <X> = <Y> = 0.71
+        psi0 = product_state(SiteAssignment([sender] + [("Z", 1)] * (s.n_sites - 1)))
+        times, values = heisenberg_expectation(op, psi0, s, n_steps)
+        ref_times, states = evolve_state(psi0, s, n_steps)
+        label = "I" * (s.n_sites - 1) + op
+        np.testing.assert_array_equal(times, ref_times)
+        np.testing.assert_allclose(values, [pauli_expectation(p, label) for p in states],
+                                   rtol=0, atol=1e-14)
+        assert np.max(np.abs(values)) > 0.5
 
     def test_rejects_bad_operator(self):
         psi0 = product_state(SiteAssignment.parse("+,0"))
