@@ -10,15 +10,7 @@ import numpy as np
 from .exceptions import NumericalContractError, SpinkickError
 from .flux import FluxResult, max_alpha, propagate
 from .graph import chain
-from .pulses import (DEFAULT_STEPS_PER_PI, default_steps, ideal_schedule,
-                     sin_power_schedule, square_schedule)
-
-# required schedule parameters of each family; each is fixed or swept
-FAMILY_PARAMS = {
-    "sin_power": ("n_sites", "m"),
-    "square_delta": ("n_sites", "delta"),
-    "ideal_kicks": ("n_sites",),
-}
+from .pulses import DEFAULT_STEPS_PER_PI, FAMILIES, default_steps
 
 _CLAMP_TOL = 1e-9
 
@@ -55,9 +47,10 @@ class SweepSpec:
     steps_per_pi: int = DEFAULT_STEPS_PER_PI
 
     def __post_init__(self):
-        params = FAMILY_PARAMS.get(self.schedule_family)
-        if params is None:
+        family = FAMILIES.get(self.schedule_family)
+        if family is None:
             raise ValueError(f"unknown family {self.schedule_family!r}")
+        params = family.params
         if self.swept_parameter not in params:
             raise ValueError(f"unknown swept parameter {self.swept_parameter!r} "
                              f"for family {self.schedule_family}")
@@ -82,24 +75,20 @@ class SweepRow:
     error: Optional[Exception] = None  # what stopped the row, traceback dropped
 
 
-def _build_schedule(family: str, params: Dict):
-    if family == "sin_power":
-        return sin_power_schedule(int(params["n_sites"]), int(params["m"]))
-    if family == "square_delta":
-        return square_schedule(int(params["n_sites"]), float(params["delta"]))
-    return ideal_schedule(int(params["n_sites"]),
-                          params.get("scheme", "JxJy"),
-                          float(params.get("kick_duration", 1.0)))
-
-
 def run_sweep(spec: SweepSpec) -> List[SweepRow]:
-    """One row per swept value; schedule and numerical failures are recorded, not raised."""
+    """One row per swept value; schedule and numerical failures are recorded, not raised.
+
+    Each row's parameters go to the family's factory, whole-number floats as
+    ints (spec files write 5.0), so a value like 2.5 for an integer parameter
+    is rejected there, not truncated.
+    """
+    factory = FAMILIES[spec.schedule_family].factory
     rows = []
     for value in spec.values:
-        params = dict(spec.fixed)
-        params[spec.swept_parameter] = value
+        params = {k: int(v) if isinstance(v, float) and v.is_integer() else v
+                  for k, v in {**spec.fixed, spec.swept_parameter: value}.items()}
         try:
-            schedule = _build_schedule(spec.schedule_family, params)
+            schedule = factory(**params)
             n = schedule.n_sites
             result = propagate(chain(n), schedule, default_steps(schedule, spec.steps_per_pi))
             t_star, alpha = max_alpha(result, n)
@@ -121,11 +110,10 @@ def run_sweep(spec: SweepSpec) -> List[SweepRow]:
 
 
 def sweep_csv(rows: Sequence[SweepRow]) -> str:
-    lines = ["param,max_alpha,t_star,fidelity_max,fidelity_at_tau"]
-    for r in rows:
-        lines.append(",".join(format(v, ".17g") for v in (
-            r.param_value, r.max_alpha, r.t_star, r.fidelity_max, r.fidelity_at_tau)))
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%.17g"] * 5) + "\n"
+    return "param,max_alpha,t_star,fidelity_max,fidelity_at_tau\n" + "".join(
+        row % (r.param_value, r.max_alpha, r.t_star, r.fidelity_max, r.fidelity_at_tau)
+        for r in rows)
 
 
 def joint_read_time(result: FluxResult) -> Tuple[float, float, float]:

@@ -167,15 +167,11 @@ def information_flux(result: FluxResult, rest_state: SiteAssignment) -> Dict[Tup
 def series_csv(result: FluxResult) -> str:
     """CSV export: t, alpha_1..alpha_dim, norm."""
     dim = result.alphas.shape[1]
-    header = "t," + ",".join(f"alpha_{j + 1}" for j in range(dim)) + ",norm"
+    header = "t," + ",".join(f"alpha_{j + 1}" for j in range(dim)) + ",norm\n"
+    row = ",".join(["%.17g"] * (dim + 2)) + "\n"
     norms = result.norms()
-    lines = [header]
-    for i, t in enumerate(result.times):
-        row = [format(t, ".17g")]
-        row += [format(v, ".17g") for v in result.alphas[i]]
-        row.append(format(norms[i], ".17g"))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return header + "".join(row % (t, *alphas.tolist(), norm) for t, alphas, norm in
+                            zip(result.times, result.alphas, norms))
 
 
 def summary(result: FluxResult) -> dict:

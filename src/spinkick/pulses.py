@@ -9,8 +9,9 @@ step boundaries fall.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Sequence, Tuple
+import numbers
+from dataclasses import MISSING, asdict, dataclass, fields
+from typing import Callable, ClassVar, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -25,10 +26,22 @@ SCHEMES = ("JxJy", "JxB")
 
 
 class PulseSchedule:
-    """Common interface: pointwise amplitudes, exact window averages, breakpoints."""
+    """Common interface: pointwise amplitudes, exact window averages, breakpoints.
 
+    The families are dataclasses whose fields are their JSON payload, checked
+    in __post_init__ however the schedule is built.
+    """
+
+    variant: ClassVar[str]
     n_sites: int
     total_time: float
+
+    def __post_init__(self):
+        _check_sites(self.n_sites)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
 
     def amplitudes(self, t: float) -> Tuple[float, float, float]:
         raise NotImplementedError
@@ -42,7 +55,12 @@ class PulseSchedule:
         return ()
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        return {"variant": self.variant, **asdict(self), "total_time": self.total_time}
+
+
+def _check_sites(n_sites) -> None:
+    if not isinstance(n_sites, numbers.Integral) or n_sites < 2:
+        raise ValueError(f"need at least 2 sites, got n_sites={n_sites!r}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +71,8 @@ class KickSlot:
     amplitude: float
 
     def __post_init__(self):
-        numbers = (self.start, self.duration, self.amplitude)
-        if (self.channel not in CHANNELS or not all(math.isfinite(v) for v in numbers)
+        values = (self.start, self.duration, self.amplitude)
+        if (self.channel not in CHANNELS or not all(math.isfinite(v) for v in values)
                 or self.start < 0 or self.duration <= 0):
             raise ValueError(f"invalid {self}: needs a channel in {CHANNELS}, finite "
                              "numbers, start >= 0 and duration > 0")
@@ -64,20 +82,24 @@ class KickSlot:
         return self.start + self.duration
 
 
+@dataclass
 class IdealKickSchedule(PulseSchedule):
     """Sequence of non-overlapping single-channel boxcar kicks."""
 
-    def __init__(self, n_sites: int, slots: Sequence[KickSlot], scheme: str = ""):
-        slots = tuple(sorted(slots, key=lambda s: s.start))
-        if not slots:
+    variant: ClassVar[str] = "ideal_kicks"
+    n_sites: int
+    slots: Sequence[KickSlot]
+    scheme: str = ""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.slots = sorted(self.slots, key=lambda s: s.start)
+        if not self.slots:
             raise ValueError("need at least one kick slot")
-        for a, b in zip(slots, slots[1:]):
+        for a, b in zip(self.slots, self.slots[1:]):
             if b.start < a.end - 1e-12:
                 raise ValueError(f"overlapping kick slots at t={b.start}")
-        self.n_sites = n_sites
-        self.slots = slots
-        self.scheme = scheme
-        self.total_time = slots[-1].end
+        self.total_time = self.slots[-1].end
 
     def amplitudes(self, t):
         for s in self.slots:
@@ -102,27 +124,23 @@ class IdealKickSchedule(PulseSchedule):
             out.extend((s.start, s.end))
         return tuple(sorted(set(out)))
 
-    def to_json(self):
-        return {
-            "variant": "ideal_kicks",
-            "n_sites": self.n_sites,
-            "scheme": self.scheme,
-            "total_time": self.total_time,
-            "slots": [asdict(s) for s in self.slots],
-        }
 
-
+@dataclass
 class SinPowerSchedule(PulseSchedule):
     """J_x = j_max*sin(t+pi/4)^m, B = b_max*cos(t+pi/4)^m, J_y = 0, m even."""
 
-    def __init__(self, n_sites: int, m: int, j_max: float, b_max: float):
-        if m < 2 or m % 2 != 0:
+    variant: ClassVar[str] = "sin_power"
+    n_sites: int
+    m: int
+    j_max: float
+    b_max: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        m = self.m
+        if not isinstance(m, numbers.Integral) or m < 2 or m % 2 != 0:
             raise ValueError(f"m must be a positive even integer, got {m}")
-        self.n_sites = n_sites
-        self.m = m
-        self.j_max = j_max
-        self.b_max = b_max
-        self.total_time = 2.0 * n_sites * math.pi
+        self.total_time = 2.0 * self.n_sites * math.pi
         # sin^m x = c_0 + sum_j c_j cos(2jx); finite series, exact averages
         half = m // 2
         coeffs = [math.comb(m, half) / 2 ** m]
@@ -151,17 +169,8 @@ class SinPowerSchedule(PulseSchedule):
         ) / dt
         return jx, 0.0, b
 
-    def to_json(self):
-        return {
-            "variant": "sin_power",
-            "n_sites": self.n_sites,
-            "m": self.m,
-            "j_max": self.j_max,
-            "b_max": self.b_max,
-            "total_time": self.total_time,
-        }
 
-
+@dataclass
 class SquareDeltaSchedule(PulseSchedule):
     """Constant J_x with a train of square B pulses, one per 2*pi period.
 
@@ -171,16 +180,21 @@ class SquareDeltaSchedule(PulseSchedule):
     accumulated between consecutive pulses is pi/4.
     """
 
-    def __init__(self, n_sites: int, delta: float, j_const: float, b_max: float,
-                 pulse_width: float, period: float = 2.0 * math.pi):
-        self.n_sites = n_sites
-        self.delta = delta
-        self.j_const = j_const
-        self.b_max = b_max
-        self.pulse_width = pulse_width
-        self.period = period
-        self.total_time = n_sites * period
-        self.centers = tuple(period * k for k in range(1, n_sites))
+    variant: ClassVar[str] = "square_delta"
+    n_sites: int
+    delta: float
+    j_const: float
+    b_max: float
+    pulse_width: float
+    period: float = 2.0 * math.pi
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0 < self.pulse_width < self.period:
+            raise ValueError(f"need 0 < pulse_width < period, got {self.pulse_width} "
+                             f"and {self.period}")
+        self.total_time = self.n_sites * self.period
+        self.centers = tuple(self.period * k for k in range(1, self.n_sites))
 
     def amplitudes(self, t):
         w = self.pulse_width
@@ -206,23 +220,11 @@ class SquareDeltaSchedule(PulseSchedule):
             out.extend((c - w / 2, c + w / 2))
         return tuple(sorted(out))
 
-    def to_json(self):
-        return {
-            "variant": "square_delta",
-            "n_sites": self.n_sites,
-            "delta": self.delta,
-            "j_const": self.j_const,
-            "b_max": self.b_max,
-            "pulse_width": self.pulse_width,
-            "period": self.period,
-            "total_time": self.total_time,
-        }
-
 
 def calibrate_amplitude(area: float, target_area: float = QUARTER_TURN) -> float:
     """Amplitude a with a * area = target_area, for a pulse shape of the given area."""
-    if target_area <= 0:
-        raise ValueError("target_area must be positive")
+    if not 0 < target_area < math.inf:
+        raise ValueError(f"target_area must be positive and finite, got {target_area}")
     if not area > 0:
         raise ValueError("pulse shape has zero integral over its window")
     return target_area / area
@@ -242,8 +244,8 @@ def sin_power_hump(m: int) -> Tuple[float, Tuple[float, float]]:
 
 def boxcar_shape(width: float) -> Tuple[float, Tuple[float, float]]:
     """Area and window of a unit boxcar: the width itself, over (0, width)."""
-    if width <= 0:
-        raise ValueError("boxcar width must be positive")
+    if not 0 < width < math.inf:
+        raise ValueError(f"boxcar width must be positive and finite, got {width}")
     return width, (0.0, width)
 
 
@@ -254,26 +256,24 @@ def ideal_schedule(n_sites: int, scheme: str = "JxJy", kick_duration: float = 1.
     from X_N to the site-1 node in the scheme's two channels, led by one kick
     of the other channel that starts the partner coefficient seeded at Y_N,
     alternates the channels from Jx: N kicks for JxJy, 2N-1 (odd N) or 2N
-    (even N) for JxB.
+    (even N) for JxB.  Each kick starts where the previous one ends.
     """
-    if n_sites < 2:
-        raise ValueError("need at least 2 sites")
+    _check_sites(n_sites)  # the kick count needs a whole N before the schedule exists
     if kick_duration <= 0:
         raise ValueError("kick_duration must be positive")
-    key = scheme.lower()
-    if key == "jxjy":
+    scheme = {s.lower(): s for s in SCHEMES}.get(str(scheme).lower(), scheme)
+    if scheme == "JxJy":
         channels, count = ("Jx", "Jy"), n_sites
-    elif key == "jxb":
+    elif scheme == "JxB":
         channels, count = ("Jx", "B"), 2 * n_sites - n_sites % 2
     else:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-    order = [channels[k % 2] for k in range(count)]
     amplitude = QUARTER_TURN / kick_duration
-    slots = [
-        KickSlot(channel=ch, start=k * kick_duration, duration=kick_duration, amplitude=amplitude)
-        for k, ch in enumerate(order)
-    ]
-    return IdealKickSchedule(n_sites, slots, scheme="JxJy" if key == "jxjy" else "JxB")
+    slots = []
+    for k in range(count):
+        start = slots[-1].end if slots else 0.0
+        slots.append(KickSlot(channels[k % 2], start, kick_duration, amplitude))
+    return IdealKickSchedule(n_sites, slots, scheme)
 
 
 def sin_power_schedule(n_sites: int, m: int) -> SinPowerSchedule:
@@ -284,11 +284,10 @@ def sin_power_schedule(n_sites: int, m: int) -> SinPowerSchedule:
 
 
 def square_schedule(n_sites: int, delta: float) -> SquareDeltaSchedule:
-    """Square-pulse schedule over [0, 2*N*pi] with sharpness delta > 1."""
-    if n_sites < 2:
-        raise ValueError("need at least 2 sites")
-    if delta <= 1:
-        raise ValueError("delta must exceed 1 (pulse narrower than a half-period)")
+    """Square-pulse schedule over [0, 2*N*pi] with sharpness 1 < delta < inf."""
+    if not 1 < delta < math.inf:
+        raise ValueError(f"delta must exceed 1 and be finite (pulse narrower than a "
+                         f"half-period), got {delta}")
     period = 2.0 * math.pi
     width = math.pi / delta
     b_max = QUARTER_TURN / width
@@ -297,39 +296,41 @@ def square_schedule(n_sites: int, delta: float) -> SquareDeltaSchedule:
                                pulse_width=width, period=period)
 
 
-_JSON_KEYS = {
-    "ideal_kicks": ("n_sites", "slots"),
-    "sin_power": ("n_sites", "m", "j_max", "b_max"),
-    "square_delta": ("n_sites", "delta", "j_const", "b_max", "pulse_width", "period"),
-}
-_SLOT_KEYS = ("channel", "start", "duration", "amplitude")
+class Family(NamedTuple):
+    schedule: type            # the dataclass a JSON payload of this variant rebuilds
+    factory: Callable         # calibrated schedule from the family's parameters
+    params: Tuple[str, ...]   # the parameters a sweep must set, fixed or swept
+
+
+FAMILIES = {family.schedule.variant: family for family in (
+    Family(IdealKickSchedule, ideal_schedule, ("n_sites",)),
+    Family(SinPowerSchedule, sin_power_schedule, ("n_sites", "m")),
+    Family(SquareDeltaSchedule, square_schedule, ("n_sites", "delta")),
+)}
 
 
 def schedule_from_json(data: dict) -> PulseSchedule:
-    """Rebuild a schedule from its to_json() payload."""
+    """Rebuild a schedule from its to_json() payload: the variant and the class's fields."""
     variant = data.get("variant") if isinstance(data, dict) else None
-    if variant not in _JSON_KEYS:
+    family = FAMILIES.get(variant)
+    if family is None:
         raise ValueError(f"unknown schedule variant {variant!r}")
-    missing = [k for k in _JSON_KEYS[variant] if k not in data]
+    keys = fields(family.schedule)
+    missing = [f.name for f in keys if f.default is MISSING and f.name not in data]
     if missing:
         raise ValueError(f"{variant} schedule is missing {', '.join(missing)}")
-    n = data["n_sites"]
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"n_sites must be an integer >= 2, got {n!r}")
-    if not all(math.isfinite(data[k]) for k in _JSON_KEYS[variant] if k != "slots"):
-        raise ValueError(f"non-finite number in {variant} schedule")
-    if variant == "ideal_kicks":
-        slots = []
-        for i, d in enumerate(data["slots"]):
-            missing = [k for k in _SLOT_KEYS if not isinstance(d, dict) or k not in d]
-            if missing:
-                raise ValueError(f"slot {i} is missing {', '.join(missing)}")
-            slots.append(KickSlot(*(d[k] for k in _SLOT_KEYS)))
-        return IdealKickSchedule(n, slots, scheme=data.get("scheme", ""))
-    if variant == "sin_power":
-        return SinPowerSchedule(n, data["m"], data["j_max"], data["b_max"])
-    return SquareDeltaSchedule(n, data["delta"], data["j_const"],
-                               data["b_max"], data["pulse_width"], data["period"])
+    kwargs = {f.name: data[f.name] for f in keys if f.name in data}
+    if "slots" in kwargs:
+        kwargs["slots"] = [_slot_from_json(i, d) for i, d in enumerate(kwargs["slots"])]
+    return family.schedule(**kwargs)
+
+
+def _slot_from_json(i: int, d) -> KickSlot:
+    keys = [f.name for f in fields(KickSlot)]
+    missing = [k for k in keys if not isinstance(d, dict) or k not in d]
+    if missing:
+        raise ValueError(f"slot {i} is missing {', '.join(missing)}")
+    return KickSlot(*(d[k] for k in keys))
 
 
 def default_steps(schedule: PulseSchedule, steps_per_pi: int = DEFAULT_STEPS_PER_PI) -> int:
@@ -338,12 +339,25 @@ def default_steps(schedule: PulseSchedule, steps_per_pi: int = DEFAULT_STEPS_PER
 
 
 def step_grid(schedule: PulseSchedule, n_steps: int) -> np.ndarray:
-    """Uniform grid over [0, total_time] merged with schedule discontinuities."""
+    """Uniform grid over [0, total_time] merged with schedule discontinuities.
+
+    A uniform point within tol = 1e-12 * total_time of a discontinuity gives
+    way to it, and a discontinuity within tol of an end or of the previous one
+    is dropped, so no window is narrower than tol.  Averages are exact over
+    any window, so a point moved by less than tol changes results only at
+    rounding level.
+    """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    base = np.linspace(0.0, schedule.total_time, n_steps + 1)
-    interior = [d for d in schedule.discontinuities() if 0.0 < d < schedule.total_time]
-    return np.unique(np.concatenate([base, np.asarray(interior)]))
+    total = schedule.total_time
+    tol = 1e-12 * total
+    base = np.linspace(0.0, total, n_steps + 1)
+    interior = np.unique([d for d in schedule.discontinuities() if tol < d < total - tol])
+    if interior.size:
+        interior = interior[np.append(True, np.diff(interior) > tol)]
+        nearest = np.rint(interior * (n_steps / total)).astype(int)
+        base = np.delete(base, nearest[np.abs(base[nearest] - interior) <= tol])
+    return np.unique(np.concatenate([base, interior]))
 
 
 def window_amplitudes(schedule: PulseSchedule, grid: np.ndarray) -> np.ndarray:

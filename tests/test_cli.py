@@ -54,12 +54,36 @@ class TestExitCodes:
         (["--n-sites", "3", "--square-delta", "0"], "delta must exceed 1"),
         (["--n-sites", "0", "--sin-m", "4"], "need at least 2 sites"),
         (["--n-sites", "3", "--scheme", "JxJy", "--sin-m", "0"], "choose exactly one"),
+        (["--n-sites", "3", "--square-delta", "inf"], "delta must exceed 1"),
+        (["--n-sites", "3", "--square-delta", "nan"], "delta must exceed 1"),
     ])
     def test_zero_valued_flags_reach_their_own_check(self, capsys, argv, message):
         rc, out, err = run(capsys, "simulate", *argv)
         assert rc == 2
         assert out == ""
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("spec,message", [
+        ("family = ideal_kicks\nsweep = n_sites\nvalues = 3\nfixed.scheme = 1\n",
+         "unknown scheme 1"),
+        ("family = sin_power\nsweep = m\nvalues = 2.5,4\nfixed.n_sites = 3\n",
+         "m must be a positive even integer, got 2.5"),
+        ("family = sin_power\nsweep = n_sites\nvalues = 3.7\nfixed.m = 6\n",
+         "need at least 2 sites, got n_sites=3.7"),
+        (["calibrate", "--sin-m", "6", "--target-area", "nan"],
+         "target_area must be positive and finite"),
+        (["calibrate", "--boxcar-width", "inf"], "boxcar width must be positive and finite"),
+    ], ids=["scheme-1", "m-2.5", "n_sites-3.7", "target-nan", "boxcar-inf"])
+    def test_malformed_values_are_usage_errors(self, capsys, tmp_path, spec, message):
+        # spec: the text of a sweep spec file, or a whole command line
+        argv = spec
+        if isinstance(spec, str):
+            (tmp_path / "spec.txt").write_text(spec + "steps_per_pi = 20\n")
+            argv = ["sweep", str(tmp_path / "spec.txt")]
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert message in err
 
     def test_schedule_file_slot_missing_key_is_named(self, capsys, tmp_path):
         slots = [{"channel": "Jx", "start": 0.0, "duration": 1.0, "amplitude": 0.7},

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinkick import (SweepSpec, average_fidelity, joint_average_fidelity,
+from spinkick import (SweepRow, SweepSpec, average_fidelity, joint_average_fidelity,
                       run_sweep, sweep_csv, transfer_read_time, ideal_schedule)
 from spinkick.exceptions import NumericalContractError
 
@@ -129,6 +129,26 @@ class TestRunSweep:
         assert math.isnan(rows[0].max_alpha)
         assert rows[1].error is None
 
+    def test_whole_number_floats_run_as_ints(self):
+        # spec files write 5.0; the row runs at N = 5 and keeps its value
+        spec = SweepSpec("sin_power", "n_sites", (5.0,), {"m": 4.0}, steps_per_pi=20)
+        row, = run_sweep(spec)
+        assert row.error is None
+        assert row.param_value == 5.0
+
+    @pytest.mark.parametrize("family,swept,value,fixed,message", [
+        ("sin_power", "m", 2.5, {"n_sites": 3}, "m must be a positive even integer"),
+        ("sin_power", "n_sites", 3.7, {"m": 6}, "need at least 2 sites"),
+        ("square_delta", "n_sites", 3.7, {"delta": 8.0}, "need at least 2 sites"),
+        ("ideal_kicks", "n_sites", 3.7, {"scheme": "JxJy"}, "need at least 2 sites"),
+        ("ideal_kicks", "n_sites", 3.0, {"scheme": 1}, "unknown scheme 1"),
+        ("square_delta", "delta", math.inf, {"n_sites": 3}, "delta must exceed 1"),
+    ])
+    def test_values_are_rejected_not_truncated(self, family, swept, value, fixed, message):
+        row, = run_sweep(SweepSpec(family, swept, (value,), fixed, steps_per_pi=20))
+        assert isinstance(row.error, ValueError) and message in str(row.error)
+        assert math.isnan(row.max_alpha)
+
     def test_programming_errors_are_raised(self):
         spec = SweepSpec("ideal_kicks", "n_sites", (3.0,), {"kick_duration": None})
         with pytest.raises(TypeError):
@@ -151,6 +171,13 @@ class TestRunSweep:
         values = [float(v) for v in lines[1].split(",")]
         assert values[0] == 3.0
         assert abs(values[1]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_sweep_csv_matches_per_value_format(self):
+        rows = [SweepRow(2.5, -1.0 / 3.0, 1e-300, 0.75, -0.0),
+                SweepRow(3.0, math.nan, math.nan, math.inf, 0.1)]
+        expected = [",".join(format(v, ".17g") for v in (
+            r.param_value, r.max_alpha, r.t_star, r.fidelity_max, r.fidelity_at_tau)) for r in rows]
+        assert sweep_csv(rows).splitlines()[1:] == expected
 
 
 class TestTransferReadTime:

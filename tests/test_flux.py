@@ -301,6 +301,17 @@ class TestReporting:
         np.testing.assert_allclose(parsed[:, 1:5], r.alphas)
         np.testing.assert_allclose(parsed[:, 5], r.norms())
 
+    def test_series_csv_matches_per_value_format(self):
+        # the row template must print what format(v, ".17g") printed value by value
+        r = propagate(_gen(3), sin_power_schedule(3, 4), 30)
+        alphas = r.alphas.copy()
+        alphas[1, :3] = [-0.0, 1e-300, 1.0 / 3.0]
+        r = FluxResult(times=r.times, alphas=alphas, transfer=r.transfer, seed=1,
+                       nodes=r.nodes, n_sites=3)
+        rows = [",".join(format(v, ".17g") for v in (t, *a, norm))
+                for t, a, norm in zip(r.times, r.alphas, r.norms())]
+        assert series_csv(r).splitlines()[1:] == rows
+
     def test_summary_ideal(self):
         r = propagate(_gen(3), ideal_schedule(3, "JxJy"), 1)
         report = summary(r)

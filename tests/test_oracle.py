@@ -317,6 +317,35 @@ class TestMonteCarloFidelity:
         assert a == b
         assert a != c
 
+    @pytest.mark.parametrize("schedule,read_time", [
+        (sin_power_schedule(5, 6), None), (sin_power_schedule(4, 4), 9.0),
+        (ideal_schedule(4, "JxB"), 3.5),
+    ])
+    def test_blocks_match_per_sample_states(self, schedule, read_time):
+        # reference: each sample's 2^N state a u0 + b u1 and its own partial trace
+        n, samples, seed = schedule.n_sites, 300, 17
+        mean, stderr = monte_carlo_average_fidelity(schedule, samples, seed, read_time, 80)
+        e0, e1 = np.zeros(1 << n, complex), np.zeros(1 << n, complex)
+        e0[0], e1[1 << (n - 1)] = 1.0, 1.0
+        u0, u1 = (final_state(e, schedule, read_time, 80) for e in (e0, e1))
+        plus = (u0 + u1) / math.sqrt(2.0)
+        rz, rx = (oracle._bloch(receiver_density(u)) for u in (u0, plus))
+        axis_z = rz / np.linalg.norm(rz)
+        axis_x = rx - (rx @ axis_z) * axis_z
+        axis_x /= np.linalg.norm(axis_x)
+        correction = np.vstack([axis_x, np.cross(axis_z, axis_x), axis_z])
+        draws = np.random.default_rng(seed).normal(size=(samples, 4))
+        fids = []
+        for d in draws:
+            a, b = d[0] + 1j * d[1], d[2] + 1j * d[3]
+            a, b = np.array([a, b]) / math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+            ab = np.conj(a) * b
+            r_in = np.array([2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2])
+            r_out = correction @ oracle._bloch(receiver_density(a * u0 + b * u1))
+            fids.append(min(1.0, max(0.0, 0.5 * (1.0 + r_in @ r_out))))
+        assert mean == pytest.approx(np.mean(fids), abs=1e-13)
+        assert stderr == pytest.approx(np.std(fids, ddof=1) / math.sqrt(samples), abs=1e-13)
+
     def test_single_sample_has_zero_stderr(self):
         _, stderr = monte_carlo_average_fidelity(_zero_schedule(2), 1, seed=1)
         assert stderr == 0.0

@@ -1,17 +1,19 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from spinkick import (IdealKickSchedule, KickSlot, PulseSchedule, SinPowerSchedule,
                       SiteAssignment, SquareDeltaSchedule, calibrate_amplitude, chain,
-                      evolve_state, ideal_schedule, product_state, propagate,
+                      default_steps, evolve_state, ideal_schedule, product_state, propagate,
                       schedule_from_json, sin_power_schedule, square_schedule, step_grid,
                       window_amplitudes)
 from spinkick import flux, oracle
 from spinkick.exceptions import NumericalContractError
-from spinkick.pulses import QUARTER_TURN, boxcar_shape, sin_power_hump
+from spinkick.pulses import FAMILIES, QUARTER_TURN, SCHEMES, boxcar_shape, sin_power_hump
 
 
 class TestCalibration:
@@ -54,12 +56,14 @@ class TestCalibration:
             calibrate_amplitude(-1.0)
 
     def test_bad_target_rejected(self):
-        with pytest.raises(ValueError):
-            calibrate_amplitude(1.0, target_area=0.0)
+        for target in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="target_area"):
+                calibrate_amplitude(1.0, target_area=target)
 
     def test_boxcar_width_validation(self):
-        with pytest.raises(ValueError):
-            boxcar_shape(0.0)
+        for width in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="boxcar width must be positive and finite"):
+                boxcar_shape(width)
 
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
@@ -125,6 +129,14 @@ class TestIdealSchedule:
             ideal_schedule(3, "JyB")
         with pytest.raises(ValueError):
             ideal_schedule(3, "JxJy", kick_duration=0.0)
+        with pytest.raises(ValueError, match="unknown scheme 1"):
+            ideal_schedule(3, 1)
+
+    def test_kicks_start_where_the_previous_ends(self):
+        # k * 0.7 and (k - 1) * 0.7 + 0.7 differ in the last bit for some k
+        for scheme in SCHEMES:
+            s = ideal_schedule(9, scheme, kick_duration=0.7)
+            assert all(b.start == a.end for a, b in zip(s.slots, s.slots[1:]))
 
 
 class TestSinPowerSchedule:
@@ -248,6 +260,9 @@ class TestSquareDeltaSchedule:
             square_schedule(5, 1.0)
         with pytest.raises(ValueError):
             square_schedule(1, 8.0)
+        for delta in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="delta must exceed 1 and be finite"):
+                square_schedule(5, delta)
 
 
 class TestJsonRoundTrip:
@@ -285,6 +300,65 @@ class TestJsonRoundTrip:
     def test_missing_keys_and_short_chains_rejected(self, data):
         with pytest.raises(ValueError):
             schedule_from_json(data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), variant=st.sampled_from(sorted(FAMILIES)), n=st.integers(2, 12))
+    def test_json_text_roundtrip_is_exact(self, data, variant, n):
+        if variant == "ideal_kicks":
+            s = ideal_schedule(n, data.draw(st.sampled_from(SCHEMES)),
+                               data.draw(st.floats(0.05, 3.0)))
+        elif variant == "sin_power":
+            s = sin_power_schedule(n, data.draw(st.sampled_from(range(2, 17, 2))))
+        else:
+            s = square_schedule(n, data.draw(st.floats(1.01, 50.0)))
+        rebuilt = schedule_from_json(json.loads(json.dumps(s.to_json())))
+        assert type(rebuilt) is type(s)
+        assert rebuilt == s
+        assert rebuilt.total_time == s.total_time
+        grid = step_grid(s, 3 * n)
+        assert np.array_equal(window_amplitudes(rebuilt, grid), window_amplitudes(s, grid))
+
+
+class TestConstructionChecks:
+    """Every path that builds a schedule (factory, class, JSON) meets one check."""
+
+    @pytest.mark.parametrize("n", [1, 0, -3, 2.5, 3.0, math.nan, "4"])
+    @pytest.mark.parametrize("build", [
+        lambda n: ideal_schedule(n, "JxJy"),
+        lambda n: ideal_schedule(n, "JxB"),
+        lambda n: sin_power_schedule(n, 6),
+        lambda n: square_schedule(n, 8.0),
+        lambda n: IdealKickSchedule(n, [KickSlot("Jx", 0.0, 1.0, 1.0)]),
+        lambda n: SinPowerSchedule(n, 6, 0.8, 0.8),
+        lambda n: SquareDeltaSchedule(n, 8.0, 0.1, 2.0, 0.4),
+        lambda n: schedule_from_json({**sin_power_schedule(3, 6).to_json(), "n_sites": n}),
+    ], ids=["ideal_jxjy", "ideal_jxb", "sin_factory", "square_factory", "ideal_class",
+            "sin_class", "square_class", "json"])
+    def test_n_sites_must_be_an_integer_of_at_least_2(self, build, n):
+        with pytest.raises(ValueError, match="need at least 2 sites"):
+            build(n)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.8", None])
+    @pytest.mark.parametrize("variant,key", [
+        ("sin_power", "j_max"), ("sin_power", "b_max"),
+        ("square_delta", "delta"), ("square_delta", "j_const"), ("square_delta", "b_max"),
+        ("square_delta", "pulse_width"), ("square_delta", "period"),
+    ])
+    def test_float_fields_must_be_finite(self, variant, key, bad):
+        good = (sin_power_schedule(3, 6) if variant == "sin_power" else square_schedule(3, 8.0))
+        with pytest.raises(ValueError, match=f"{key} must be a finite number"):
+            schedule_from_json({**good.to_json(), key: bad})
+
+    @pytest.mark.parametrize("width,period", [(0.0, 6.0), (-0.4, 6.0), (0.4, 0.0), (0.4, -6.0),
+                                              (6.0, 6.0)])
+    def test_square_pulse_fits_its_period(self, width, period):
+        with pytest.raises(ValueError, match="need 0 < pulse_width < period"):
+            SquareDeltaSchedule(3, 8.0, 0.1, 2.0, width, period)
+
+    @pytest.mark.parametrize("m", [2.5, 4.0, 7, 0])
+    def test_m_must_be_a_positive_even_integer(self, m):
+        with pytest.raises(ValueError, match="m must be a positive even integer"):
+            sin_power_schedule(3, m)
 
 
 class TestKickSlotValidation:
@@ -339,6 +413,31 @@ class TestStepGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             step_grid(sin_power_schedule(3, 4), 0)
+
+    # default grids that kept a uniform point within a float step of a pulse edge
+    @pytest.mark.parametrize("schedule", [
+        square_schedule(25, 20.0), square_schedule(5, 5.0), square_schedule(5, 8.0),
+        square_schedule(5, 10.0), square_schedule(5, 20.0), square_schedule(25, 16.0),
+        ideal_schedule(8, "JxB"), ideal_schedule(16, "JxJy"),
+        ideal_schedule(7, "JxJy", 0.7), ideal_schedule(9, "JxB", 0.3),
+    ], ids=["square20-N25", "square5-N5", "square8-N5", "square10-N5", "square20-N5",
+            "square16-N25", "JxB-N8", "JxJy-N16", "JxJy-N7-0.7", "JxB-N9-0.3"])
+    def test_no_sub_float_windows(self, schedule):
+        grid = step_grid(schedule, default_steps(schedule))
+        assert np.min(np.diff(grid)) > 1e-12 * schedule.total_time
+        assert np.isin(schedule.discontinuities(), grid).all()
+        assert grid[0] == 0.0 and grid[-1] == schedule.total_time
+
+    @pytest.mark.parametrize("slots", [
+        [KickSlot("Jx", 1e-16, 1.0, 1.0)],
+        # a file may end one kick at 0.1 + 0.2 and start the next at 0.3
+        [KickSlot("Jx", 0.0, 0.1 + 0.2, 1.0), KickSlot("Jy", 0.3, 0.5, 1.0)],
+    ], ids=["near-start", "near-pair"])
+    def test_breakpoints_within_tolerance_merge(self, slots):
+        s = IdealKickSchedule(2, slots)
+        grid = step_grid(s, 10)
+        assert grid[0] == 0.0 and grid[-1] == s.total_time
+        assert np.min(np.diff(grid)) > 1e-12 * s.total_time
 
 
 class _ScalarXY(PulseSchedule):
