@@ -120,6 +120,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _number_or_text(val: str):
+    """A key=value spec value: an int or float where it parses as one, else the text (e.g. a scheme)."""
+    try:
+        num = float(val)
+    except ValueError:
+        return val
+    return int(num) if num.is_integer() else num
+
+
 def _parse_sweep_file(path: str) -> SweepSpec:
     raw = Path(path).read_text()
     if raw.lstrip().startswith("{"):
@@ -135,8 +144,7 @@ def _parse_sweep_file(path: str) -> SweepSpec:
             if key == "values":
                 data["values"] = [float(v) for v in val.split(",") if v.strip()]
             elif key.startswith("fixed."):
-                num = float(val)
-                data["fixed"][key[6:]] = int(num) if num.is_integer() else num
+                data["fixed"][key[6:]] = _number_or_text(val)
             elif key == "steps_per_pi":
                 data["steps_per_pi"] = int(val)
             else:

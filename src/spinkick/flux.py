@@ -77,6 +77,12 @@ def propagate(k: GeneratorMatrix, schedule: PulseSchedule,
     Channel amplitudes are averaged exactly over each window and every
     schedule discontinuity is a window boundary, so piecewise-constant
     schedules are integrated without time-stepping error.
+
+    Where the schedule's periodicity holds on the grid (see _period_windows),
+    one period of window maps is exponentiated: with Q_j the product of its
+    first j maps and M = Q_n the period map, the column at window j of period
+    p is P M^p Q_j e_seed, P being the product of the windows before the
+    first period.  Windows before and after the periods are stepped one by one.
     """
     if k.n_sites != schedule.n_sites:
         raise ValueError(
@@ -89,19 +95,69 @@ def propagate(k: GeneratorMatrix, schedule: PulseSchedule,
     grid = step_grid(schedule, n_steps)
     # site-1 rows found by operator: their canonical indices swap with the parity of N
     rows = [next(i for i, p in enumerate(k.nodes) if p.op_at(1) == op) for op in "XY"]
-    block = np.ix_(rows, [0, k.n_sites])
+    cols = [seed - 1, 0, k.n_sites]  # the seed's column, then the X_N and Y_N seeds
     alphas = np.zeros((len(grid), dim))
     alphas[0, seed - 1] = 1.0
     transfer = np.zeros((len(grid), 2, 2))  # at t = 0 both seeds sit on site N
-    product = np.eye(dim)
-    with np.errstate(over="ignore", invalid="ignore"):  # expm_series rejects an inf or NaN norm
-        for i, (jx, jy, b) in enumerate(window_amplitudes(schedule, grid)):
-            generator = 2.0 * (grid[i + 1] - grid[i]) * k.combined(jx, jy, b)
-            product = product @ expm_series(generator)
-            alphas[i + 1] = product[:, seed - 1]
-            transfer[i + 1] = product[block]
+
+    def window_map(i):
+        return expm_series(2.0 * (grid[i + 1] - grid[i]) * k.combined(*amps[i]))
+
+    def record(at, columns):  # product[:, cols] at time index `at`, or a stack for a slice
+        alphas[at] = columns[..., 0]
+        transfer[at] = columns[..., rows, 1:]
+
+    def walk(product, windows):
+        for i in windows:
+            product = product @ window_map(i)
+            record(i + 1, product[:, cols])
+        return product
+
+    # window_amplitudes rejects a non-finite amplitude, expm_series an inf or NaN norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = window_amplitudes(schedule, grid)
+        first, n, count = _period_windows(schedule, grid, amps)
+        product = walk(np.eye(dim), range(first))
+        period_map = np.eye(dim)
+        partial = np.empty((n, dim, len(cols)))  # Q_j[:, cols], never the (n, dim, dim) stack
+        for j in range(n):
+            period_map = period_map @ window_map(first + j)
+            partial[j] = period_map[:, cols]
+        for p in range(count):
+            at = first + p * n + 1
+            record(slice(at, at + n), product @ partial)
+            product = product @ period_map
+        walk(product, range(first + count * n, len(amps)))
     return FluxResult(times=grid, alphas=alphas, transfer=transfer, seed=seed,
                       nodes=k.nodes, n_sites=k.n_sites)
+
+
+def _period_windows(schedule: PulseSchedule, grid: np.ndarray, amps: np.ndarray) -> Tuple[int, int, int]:
+    """(first, n, count): window first + p*n + j repeats window first + j for p < count.
+
+    The schedule's declared periodicity is used only where it holds on this
+    grid: each period's points equal period 0's shifted by p*period to within
+    the grid's own 1e-12*T, and its amplitude rows equal period 0's to within
+    1e-9*max|amp| (cancellation in the sin^m antiderivative lets later periods
+    drift by about 1e-12).  Otherwise count is 0 and every window is stepped.
+    """
+    none = len(amps), 0, 0
+    structure = schedule.periodicity()
+    if structure is None:
+        return none
+    t0, period, count = structure
+    tol = 1e-12 * schedule.total_time
+    first, last = np.searchsorted(grid, [t0 - tol, t0 + period - tol])
+    n = last - first
+    end = first + count * n
+    if min(n, count) < 1 or end >= len(grid) or abs(grid[first] - t0) > tol:
+        return none
+    points = grid[first:end].reshape(count, n) - period * np.arange(count)[:, None]
+    rows = amps[first:end].reshape(count, n, 3)
+    if (np.abs(points - points[0]).max() > tol or abs(grid[end] - t0 - count * period) > tol
+            or np.abs(rows - rows[0]).max() > 1e-9 * np.abs(amps).max()):
+        return none
+    return first, n, count
 
 
 def max_alpha(result: FluxResult, node: int) -> Tuple[float, float]:

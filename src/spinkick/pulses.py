@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
-from typing import Callable, ClassVar, NamedTuple, Sequence, Tuple
+from typing import Callable, ClassVar, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +53,15 @@ class PulseSchedule:
     def discontinuities(self) -> Tuple[float, ...]:
         """Interior times where an amplitude jumps; step grids must include these."""
         return ()
+
+    def periodicity(self) -> Optional[Tuple[float, float, int]]:
+        """(t0, period, count): the amplitudes over [t0, t0 + count*period] repeat every period.
+
+        None when the schedule declares no such structure.  `flux.propagate`
+        checks the declaration against the step grid and the window averages
+        before it relies on it.
+        """
+        return None
 
     def to_json(self) -> dict:
         return {"variant": self.variant, **asdict(self), "total_time": self.total_time}
@@ -169,6 +178,9 @@ class SinPowerSchedule(PulseSchedule):
         ) / dt
         return jx, 0.0, b
 
+    def periodicity(self):
+        return 0.0, math.pi, 2 * self.n_sites
+
 
 @dataclass
 class SquareDeltaSchedule(PulseSchedule):
@@ -219,6 +231,10 @@ class SquareDeltaSchedule(PulseSchedule):
         for c in self.centers:
             out.extend((c - w / 2, c + w / 2))
         return tuple(sorted(out))
+
+    def periodicity(self):
+        # J-only half period, N - 1 periods centred on the pulses, J-only half period
+        return self.period / 2, self.period, self.n_sites - 1
 
 
 def calibrate_amplitude(area: float, target_area: float = QUARTER_TURN) -> float:
@@ -334,8 +350,12 @@ def _slot_from_json(i: int, d) -> KickSlot:
 
 
 def default_steps(schedule: PulseSchedule, steps_per_pi: int = DEFAULT_STEPS_PER_PI) -> int:
-    """Uniform step count for a schedule: steps_per_pi per pi of total time."""
-    return max(1, math.ceil(steps_per_pi * schedule.total_time / math.pi))
+    """Uniform step count for a schedule: steps_per_pi per pi of total time.
+
+    Float noise is dropped before the ceiling: 400 * (2*17*pi) / pi is
+    13600.000000000002, which must give 13600 steps, not 13601.
+    """
+    return max(1, math.ceil(steps_per_pi * schedule.total_time / math.pi * (1 - 1e-12)))
 
 
 def step_grid(schedule: PulseSchedule, n_steps: int) -> np.ndarray:

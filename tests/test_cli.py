@@ -110,6 +110,18 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert sum(line.startswith("error:") for line in err.splitlines()) == 1
 
+    # a window average past the float range must also end in one error line
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", [["simulate"], ["oracle", "compare"]])
+    def test_overflowing_window_average_is_numerical_error(self, capsys, tmp_path, command):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"variant": "sin_power", "n_sites": 3, "m": 2,
+                                    "j_max": 1.7e308, "b_max": 1.0}))
+        rc, out, err = run(capsys, *command, "--schedule", str(path), "--steps", "1")
+        assert rc == 3
+        assert out == ""
+        assert err == "error: non-finite amplitudes from t = 0.0\n"
+
     def test_schedule_file_bad_slot_is_usage_error(self, capsys, tmp_path):
         slot = {"channel": "Q", "start": 0.0, "duration": -1, "amplitude": 1.0}
         path = tmp_path / "s.json"
@@ -226,6 +238,19 @@ steps_per_pi = 60
         lines = out1.splitlines()
         assert lines[2] == "param,max_alpha,t_star,fidelity_max,fidelity_at_tau"
         assert len(lines) == 3 + 2
+
+    def test_keyvalue_text_value_is_kept(self, capsys, tmp_path):
+        kv_file = tmp_path / "spec.txt"
+        kv_file.write_text("family = ideal_kicks\nsweep = n_sites\nvalues = 3,4\n"
+                           "fixed.scheme = JxB\n")
+        json_file = tmp_path / "spec.json"
+        json_file.write_text(json.dumps({"family": "ideal_kicks", "sweep": "n_sites",
+                                         "values": [3, 4], "fixed": {"scheme": "JxB"}}))
+        rc1, out1, err = run(capsys, "sweep", str(kv_file))
+        rc2, out2, _ = run(capsys, "sweep", str(json_file))
+        assert rc1 == rc2 == 0 and err == ""
+        assert out1 == out2
+        assert '"scheme": "JxB"' in out1
 
     def test_unknown_family_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -10,7 +11,9 @@ from spinkick import (FluxResult, IdealKickSchedule, KickSlot, SiteAssignment,
                       information_flux, max_alpha, propagate, series_csv,
                       sin_power_schedule, square_schedule, summary, ideal_schedule)
 from spinkick.exceptions import NumericalContractError
+from spinkick import flux
 from spinkick.flux import default_steps, expm_series
+from spinkick.pulses import step_grid, window_amplitudes
 
 import oracles
 
@@ -201,6 +204,78 @@ class TestPropagate:
         assert default_steps(s) == 4000
         assert default_steps(s, 3) == 30
         assert default_steps(ideal_schedule(3, "JxJy"), 1) == 1
+
+    def test_default_steps_are_whole_periods(self):
+        # 400 * (2*17*pi) / pi is 13600.000000000002: float noise must not add a window
+        for n in range(2, 201):
+            assert default_steps(sin_power_schedule(n, 6)) == 800 * n, n
+            assert default_steps(square_schedule(n, 8.0)) == 800 * n, n
+
+
+def _window_loop(schedule):
+    """A copy of the schedule that declares no periodicity: every window is stepped."""
+    schedule = copy.copy(schedule)
+    schedule.periodicity = lambda: None
+    return schedule
+
+
+def _reused_periods(schedule, n_steps):
+    grid = step_grid(schedule, n_steps)
+    return flux._period_windows(schedule, grid, window_amplitudes(schedule, grid))[2]
+
+
+class _Ramped(SinPowerSchedule):
+    """Inherits the sin^m periodicity but breaks it with a slow rise of J_x."""
+
+    def average_amplitudes(self, t0, t1):
+        jx, jy, b = super().average_amplitudes(t0, t1)
+        return jx * (1.0 + 0.01 * (t0 + t1)), jy, b
+
+
+class TestPeriodReuse:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 6), square=st.booleans(),
+           steps_per_pi=st.one_of(st.just(400), st.integers(8, 120)),
+           off_multiple=st.booleans())
+    def test_matches_the_window_loop(self, data, n, square, steps_per_pi, off_multiple):
+        if square:
+            # edges on the uniform grid (delta = steps_per_pi / 2j) or anywhere between
+            j = data.draw(st.integers(1, steps_per_pi // 4), label="j")
+            delta = data.draw(st.one_of(st.just(steps_per_pi / (2 * j)), st.floats(1.1, 25.0)),
+                              label="delta")
+            s = square_schedule(n, delta)
+        else:
+            s = sin_power_schedule(n, data.draw(st.sampled_from([2, 4, 6, 8, 12]), label="m"))
+        n_steps = default_steps(s, steps_per_pi)
+        if off_multiple:  # no grid point at the head's end or between periods
+            n_steps += data.draw(st.integers(1, 2 * n - 1), label="offset")
+        seed = data.draw(st.integers(1, 2 * n), label="seed")
+        periods = (n - 1) if square else 2 * n
+        assert _reused_periods(s, n_steps) == (0 if off_multiple else periods)
+        k = chain(n)
+        r = propagate(k, s, n_steps, seed)
+        ref = propagate(k, _window_loop(s), n_steps, seed)
+        assert np.array_equal(r.times, ref.times)
+        np.testing.assert_allclose(r.alphas, ref.alphas, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(r.transfer, ref.transfer, rtol=0, atol=1e-12)
+
+    def test_subclass_breaking_the_period_falls_back(self, monkeypatch):
+        s = _Ramped(4, 6, 0.8, 0.8)
+        assert s.periodicity() == (0.0, math.pi, 8)
+        assert _reused_periods(s, 320) == 0
+        calls = []
+        monkeypatch.setattr(flux, "expm_series", lambda a: calls.append(1) or expm_series(a))
+        r = propagate(chain(4), s, 320)
+        assert len(calls) == 320
+        ref = propagate(chain(4), _window_loop(s), 320)
+        assert np.array_equal(r.alphas, ref.alphas) and np.array_equal(r.transfer, ref.transfer)
+
+    def test_one_period_of_exponentials(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(flux, "expm_series", lambda a: calls.append(1) or expm_series(a))
+        r = propagate(chain(25), sin_power_schedule(25, 6))
+        assert len(r.times) == 20001
+        assert len(calls) == 400
 
 
 class TestMaxAlpha:
