@@ -15,12 +15,16 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .exceptions import NumericalContractError
+from .exceptions import NumericalContractError, ResourceCapError
 from .graph import GeneratorMatrix
 from .pauli import SiteAssignment, string_expectation
 from .pulses import PulseSchedule, default_steps, step_grid, window_amplitudes
 
 _MAX_SCALE_DEPTH = 60
+_MAX_NORM = 0.5 * 2.0 ** _MAX_SCALE_DEPTH
+# floats in the (times, dim) coefficient table: 512 MiB, so N = 200 on its default grid
+# (160,001 x 400 = 64.0 M) still runs and a larger table is refused before allocation
+MAX_TABLE_FLOATS = 2 ** 26
 _THETA = np.array([(2.0 ** -53 * math.factorial(m + 1)) ** (1.0 / (m + 1)) for m in range(18)])
 
 
@@ -32,8 +36,7 @@ def expm_series(a: np.ndarray) -> np.ndarray:
     sum stops at the first degree m with theta^(m+1)/(m+1)! <= 2^-53 (_THETA).
     """
     norm = np.linalg.norm(a, 1)
-    if not norm <= 0.5 * 2.0 ** _MAX_SCALE_DEPTH:  # also an infinite or NaN norm
-        raise NumericalContractError(f"step generator norm {norm:g} too large")
+    _check_norm(norm)
     depth = 0
     if norm > 0.5:
         depth = int(math.ceil(math.log2(norm / 0.5)))
@@ -47,6 +50,27 @@ def expm_series(a: np.ndarray) -> np.ndarray:
     for _ in range(depth):
         out = out @ out
     return out
+
+
+def rotation_map(k: GeneratorMatrix, channel: int, angle: float) -> np.ndarray:
+    """exp(angle * K_ch) in closed form for channel 0, 1 or 2 (Jx, Jy, B).
+
+    K_ch is a matching, so the exponential is the identity with the rotation
+    [[cos, s*sin], [-s*sin, cos]] on the nodes (a, b) of each edge of sign s.
+    Its 1-norm |angle| meets the bound of expm_series.
+    """
+    _check_norm(abs(angle))
+    a, b, sign = k.matchings[channel]
+    out = np.eye(k.dim)
+    out[a, a] = out[b, b] = math.cos(angle)
+    out[a, b] = sign * math.sin(angle)
+    out[b, a] = -out[a, b]
+    return out
+
+
+def _check_norm(norm: float) -> None:
+    if not norm <= _MAX_NORM:  # also an infinite or NaN norm
+        raise NumericalContractError(f"step generator norm {norm:g} too large")
 
 
 @dataclass(frozen=True)
@@ -76,7 +100,9 @@ def propagate(k: GeneratorMatrix, schedule: PulseSchedule,
 
     Channel amplitudes are averaged exactly over each window and every
     schedule discontinuity is a window boundary, so piecewise-constant
-    schedules are integrated without time-stepping error.
+    schedules are integrated without time-stepping error.  A window with at
+    most one channel on takes its map from rotation_map, any other window
+    from expm_series.
 
     Where the schedule's periodicity holds on the grid (see _period_windows),
     one period of window maps is exponentiated: with Q_j the product of its
@@ -93,6 +119,9 @@ def propagate(k: GeneratorMatrix, schedule: PulseSchedule,
     if n_steps is None:
         n_steps = default_steps(schedule)
     grid = step_grid(schedule, n_steps)
+    if len(grid) * dim > MAX_TABLE_FLOATS:
+        raise ResourceCapError(f"{len(grid)} times x {dim} coefficients exceed the cap of "
+                               f"{MAX_TABLE_FLOATS} floats in the coefficient table")
     # site-1 rows found by operator: their canonical indices swap with the parity of N
     rows = [next(i for i, p in enumerate(k.nodes) if p.op_at(1) == op) for op in "XY"]
     cols = [seed - 1, 0, k.n_sites]  # the seed's column, then the X_N and Y_N seeds
@@ -101,7 +130,10 @@ def propagate(k: GeneratorMatrix, schedule: PulseSchedule,
     transfer = np.zeros((len(grid), 2, 2))  # at t = 0 both seeds sit on site N
 
     def window_map(i):
-        return expm_series(2.0 * (grid[i + 1] - grid[i]) * k.combined(*amps[i]))
+        scale = 2.0 * (grid[i + 1] - grid[i])
+        if channel[i] < 0:
+            return expm_series(scale * k.combined(*amps[i]))
+        return rotation_map(k, channel[i], scale * amps[i, channel[i]])
 
     def record(at, columns):  # product[:, cols] at time index `at`, or a stack for a slice
         alphas[at] = columns[..., 0]
@@ -113,9 +145,11 @@ def propagate(k: GeneratorMatrix, schedule: PulseSchedule,
             record(i + 1, product[:, cols])
         return product
 
-    # window_amplitudes rejects a non-finite amplitude, expm_series an inf or NaN norm
+    # window_amplitudes rejects a non-finite amplitude, both maps an inf or NaN norm
     with np.errstate(over="ignore", invalid="ignore"):
         amps = window_amplitudes(schedule, grid)
+        on = amps != 0.0
+        channel = np.where(on.sum(axis=1) <= 1, on.argmax(axis=1), -1)  # the one channel on, else -1
         first, n, count = _period_windows(schedule, grid, amps)
         product = walk(np.eye(dim), range(first))
         period_map = np.eye(dim)

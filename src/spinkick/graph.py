@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -106,6 +106,18 @@ def build_graph(n_sites: int, channels: Sequence[str] = CHANNELS) -> OperatorGra
     return OperatorGraph(n_sites=n_sites, nodes=nodes, edges=edge_list)
 
 
+class Matching(NamedTuple):
+    """Edges of one channel as index arrays: K[a, b] = sign and K[b, a] = -sign.
+
+    Within one channel no two edges share a node, so the channel's generator
+    is a matching and its exponential is one plane rotation per edge.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    sign: np.ndarray
+
+
 @dataclass(frozen=True)
 class GeneratorMatrix:
     """Per-channel antisymmetric generators on the canonical node basis."""
@@ -115,6 +127,7 @@ class GeneratorMatrix:
     k_jx: np.ndarray
     k_jy: np.ndarray
     k_b: np.ndarray
+    matchings: Tuple[Matching, ...]  # edge arrays of (Jx, Jy, B), the generators' source
 
     @property
     def dim(self) -> int:
@@ -132,14 +145,16 @@ def generator_matrices(g: OperatorGraph) -> GeneratorMatrix:
     K[b,a] = -s and K[a,b] = +s on that channel.
     """
     dim = len(g.nodes)
-    mats = {ch: np.zeros((dim, dim)) for ch in CHANNELS}
-    for e in g.edges:
-        mats[e.channel][e.b, e.a] = -e.sign
-        mats[e.channel][e.a, e.b] = e.sign
-    return GeneratorMatrix(
-        n_sites=g.n_sites, nodes=g.nodes,
-        k_jx=mats["Jx"], k_jy=mats["Jy"], k_b=mats["B"],
-    )
+    matchings, mats = [], []
+    for ch in CHANNELS:
+        rows = [(e.a, e.b, e.sign) for e in g.edges if e.channel == ch]
+        m = Matching(*np.array(rows, dtype=int).reshape(-1, 3).T)
+        mat = np.zeros((dim, dim))
+        mat[m.a, m.b] = m.sign
+        mat[m.b, m.a] = -m.sign
+        matchings.append(m)
+        mats.append(mat)
+    return GeneratorMatrix(g.n_sites, g.nodes, *mats, tuple(matchings))
 
 
 @functools.lru_cache(maxsize=32)
@@ -147,7 +162,7 @@ def chain(n_sites: int) -> GeneratorMatrix:
     """Generators of the N-site chain, built once per N and shared, so read-only."""
     graph = build_graph(n_sites)
     k = generator_matrices(graph)
-    for mat in (k.k_jx, k.k_jy, k.k_b):
+    for mat in (k.k_jx, k.k_jy, k.k_b, *(a for m in k.matchings for a in m)):
         mat.setflags(write=False)
     return k
 

@@ -15,12 +15,15 @@ from typing import Callable, ClassVar, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exceptions import NumericalContractError
+from .exceptions import NumericalContractError, ResourceCapError
 from .pauli import CHANNELS
 
 QUARTER_TURN = math.pi / 4  # per-kick pulse area for a full coefficient swap
 
 DEFAULT_STEPS_PER_PI = 400
+# 26x the default grid of N = 200 (160,000 steps); holds the grid to 32 MiB and the
+# (W, 3) amplitude table to 96 MiB, and is refused before either exists
+MAX_STEPS = 2 ** 22
 
 SCHEMES = ("JxJy", "JxB")
 
@@ -369,6 +372,8 @@ def step_grid(schedule: PulseSchedule, n_steps: int) -> np.ndarray:
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    if n_steps > MAX_STEPS:
+        raise ResourceCapError(f"{n_steps} steps exceed the cap of {MAX_STEPS}")
     total = schedule.total_time
     tol = 1e-12 * total
     base = np.linspace(0.0, total, n_steps + 1)

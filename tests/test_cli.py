@@ -42,6 +42,15 @@ class TestExitCodes:
         assert rc == 4
         assert "error:" in err
 
+    # 10^12 steps would need 8 TB for the grid alone: refused before any array exists
+    @pytest.mark.parametrize("command", [["simulate"], ["oracle", "compare"]])
+    def test_step_count_past_the_cap_exits_4(self, capsys, command):
+        rc, out, err = run(capsys, *command, "--n-sites", "5", "--sin-m", "6",
+                           "--steps", "1000000000000")
+        assert rc == 4
+        assert out == ""
+        assert err == "error: 1000000000000 steps exceed the cap of 4194304\n"
+
     def test_schedule_file_missing_key_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"variant": "sin_power", "n_sites": 5}))

@@ -10,9 +10,9 @@ from spinkick import (FluxResult, IdealKickSchedule, KickSlot, SiteAssignment,
                       SinPowerSchedule, build_graph, chain, generator_matrices,
                       information_flux, max_alpha, propagate, series_csv,
                       sin_power_schedule, square_schedule, summary, ideal_schedule)
-from spinkick.exceptions import NumericalContractError
+from spinkick.exceptions import NumericalContractError, ResourceCapError
 from spinkick import flux
-from spinkick.flux import default_steps, expm_series
+from spinkick.flux import default_steps, expm_series, rotation_map
 from spinkick.pulses import step_grid, window_amplitudes
 
 import oracles
@@ -65,6 +65,89 @@ class TestExpmSeries:
         a = np.array([[0.0, scale], [-scale, 0.0]])
         with pytest.raises(NumericalContractError, match="too large"):
             expm_series(a)
+
+
+class TestRotationMap:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 12), channel=st.integers(0, 2), angle=st.floats(-60.0, 60.0))
+    def test_matches_expm_series(self, n, channel, angle):
+        k = chain(n)
+        u = rotation_map(k, channel, angle)
+        generator = (k.k_jx, k.k_jy, k.k_b)[channel]
+        np.testing.assert_allclose(u, expm_series(angle * generator), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(u @ u.T, np.eye(2 * n), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("angle", [1e30, np.inf, np.nan])
+    def test_depth_guard(self, angle):
+        with pytest.raises(NumericalContractError, match="too large"):
+            rotation_map(chain(3), 0, angle)
+
+
+def _expm_loop(k, schedule, seed):
+    """Coefficient history with one expm_series map per window, products in time order."""
+    grid = step_grid(schedule, default_steps(schedule))
+    amps = window_amplitudes(schedule, grid)
+    product = np.eye(k.dim)
+    rows = [product[:, seed - 1]]
+    for dt, row in zip(np.diff(grid), amps):
+        product = product @ expm_series(2.0 * dt * k.combined(*row))
+        rows.append(product[:, seed - 1])
+    return np.array(rows)
+
+
+def _count_expm(monkeypatch):
+    calls = []
+    monkeypatch.setattr(flux, "expm_series", lambda a: calls.append(1) or expm_series(a))
+    return calls
+
+
+class TestClosedFormWindows:
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    @pytest.mark.parametrize("make", [
+        lambda n: ideal_schedule(n, "JxJy"),
+        lambda n: ideal_schedule(n, "JxB"),
+        lambda n: square_schedule(n, 16.0),
+        lambda n: square_schedule(n, 7.3),
+    ], ids=["JxJy", "JxB", "square-16", "square-7.3"])
+    def test_matches_the_expm_series_loop(self, n, make):
+        s = make(n)
+        for seed in (1, n + 1):
+            r = propagate(chain(n), s, seed=seed)
+            np.testing.assert_allclose(r.alphas, _expm_loop(chain(n), s, seed), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scheme", ["JxJy", "JxB"])
+    def test_ideal_kicks_need_no_series(self, monkeypatch, scheme):
+        calls = _count_expm(monkeypatch)
+        propagate(chain(25), ideal_schedule(25, scheme))
+        assert not calls
+
+    @pytest.mark.parametrize("delta,mixed", [(16.0, 26), (20.0, 20)])
+    def test_square_trains_exponentiate_one_period_of_pulse_windows(self, monkeypatch, delta, mixed):
+        # the J-only head, tail and gaps are rotations; only windows under a B pulse are mixed
+        calls = _count_expm(monkeypatch)
+        s = square_schedule(25, delta)
+        propagate(chain(25), s)
+        grid = step_grid(s, default_steps(s))
+        amps = window_amplitudes(s, grid)
+        first, n, _ = flux._period_windows(s, grid, amps)
+        assert np.count_nonzero(amps[first:first + n, 2]) == mixed
+        assert len(calls) == mixed
+
+
+class TestResourceCap:
+    def test_table_cap_refuses_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(flux, "MAX_TABLE_FLOATS", 10 * 10)
+        assert len(propagate(chain(5), sin_power_schedule(5, 6), 9).times) == 10  # at the cap
+        monkeypatch.setattr(flux, "window_amplitudes", lambda *args: pytest.fail("allocated"))
+        with pytest.raises(ResourceCapError, match="11 times x 10 coefficients"):
+            propagate(chain(5), sin_power_schedule(5, 6), 10)
+
+    @pytest.mark.parametrize("make", [lambda: sin_power_schedule(200, 6),
+                                      lambda: square_schedule(200, 8.0),
+                                      lambda: ideal_schedule(200, "JxB")])
+    def test_n200_default_grid_fits(self, make):
+        s = make()
+        assert len(step_grid(s, default_steps(s))) * 400 <= flux.MAX_TABLE_FLOATS
 
 
 class TestPropagate:

@@ -122,6 +122,20 @@ class TestEdgeSigns:
             with pytest.raises(ValueError):
                 got[0, 0] = 1.0
 
+    @pytest.mark.parametrize("n_sites", range(2, 41))
+    def test_each_channel_is_a_matching(self, n_sites):
+        # the closed-form window maps rely on this: one rotation per edge, none sharing a node
+        k = chain(n_sites)
+        for mat, m in zip((k.k_jx, k.k_jy, k.k_b), k.matchings):
+            nonzero = mat != 0
+            assert nonzero.sum(axis=0).max() <= 1 and nonzero.sum(axis=1).max() <= 1
+            rebuilt = np.zeros((k.dim, k.dim))
+            rebuilt[m.a, m.b] = m.sign
+            rebuilt[m.b, m.a] = -m.sign
+            assert np.array_equal(rebuilt, mat)
+        union = (k.k_jx != 0) | (k.k_jy != 0) | (k.k_b != 0)
+        assert union.sum(axis=1).max() <= 3
+
     def test_combined_is_linear(self):
         k = generator_matrices(build_graph(3))
         got = k.combined(0.5, -2.0, 3.0)

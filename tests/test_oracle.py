@@ -160,6 +160,26 @@ class TestWindowStep:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert abs(np.linalg.norm(got) - 1.0) <= 1e-12
 
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 6), channel=st.sampled_from(["Jx", "Jy", "B"]),
+           magnitude=st.floats(1e-3, 3.0), negative=st.booleans(),
+           dt=st.floats(1e-3, 4.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_single_channel_kick_matches_the_taylor_path(self, n, channel, magnitude, negative,
+                                                         dt, seed):
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi = psi / np.linalg.norm(psi)
+        amps = [(-magnitude if negative else magnitude) if c == channel else 0.0
+                for c in ("Jx", "Jy", "B")]
+        chain = oracle._ChainAction(n)
+        chain.apply = lambda *args: pytest.fail("a single-channel window applied H")
+        got = chain.step(psi, dt, *amps)
+        del chain.apply  # the Taylor reference below needs the real one
+        theta = dt * magnitude * (n if channel == "B" else n - 1)
+        want = expm(-1j * dt * oracles.chain_hamiltonian(n, *amps)) @ psi
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got, chain.taylor(psi, dt, *amps, theta), rtol=0, atol=1e-13)
+
     @pytest.mark.parametrize("amplitude", [1e30, np.inf, np.nan])
     def test_depth_guard(self, amplitude):
         psi = product_state(SiteAssignment.parse("+,0"))
@@ -330,10 +350,12 @@ class TestMonteCarloFidelity:
         u0, u1 = (final_state(e, schedule, read_time, 80) for e in (e0, e1))
         plus = (u0 + u1) / math.sqrt(2.0)
         rz, rx = (oracle._bloch(receiver_density(u)) for u in (u0, plus))
-        axis_z = rz / np.linalg.norm(rz)
-        axis_x = rx - (rx @ axis_z) * axis_z
-        axis_x /= np.linalg.norm(axis_x)
-        correction = np.vstack([axis_x, np.cross(axis_z, axis_x), axis_z])
+        correction = np.eye(3)  # the documented fallback: no transfer, no probe direction
+        if np.linalg.norm(rz) >= 1e-9:  # ideal JxB at 3.5 leaves the receiver fully mixed
+            axis_z = rz / np.linalg.norm(rz)
+            axis_x = rx - (rx @ axis_z) * axis_z
+            axis_x /= np.linalg.norm(axis_x)
+            correction = np.vstack([axis_x, np.cross(axis_z, axis_x), axis_z])
         draws = np.random.default_rng(seed).normal(size=(samples, 4))
         fids = []
         for d in draws:

@@ -12,8 +12,8 @@ from spinkick import (IdealKickSchedule, KickSlot, PulseSchedule, SinPowerSchedu
                       schedule_from_json, sin_power_schedule, square_schedule, step_grid,
                       window_amplitudes)
 from spinkick import flux, oracle
-from spinkick.exceptions import NumericalContractError
-from spinkick.pulses import FAMILIES, QUARTER_TURN, SCHEMES, boxcar_shape, sin_power_hump
+from spinkick.exceptions import NumericalContractError, ResourceCapError
+from spinkick.pulses import FAMILIES, MAX_STEPS, QUARTER_TURN, SCHEMES, boxcar_shape, sin_power_hump
 
 
 class TestCalibration:
@@ -396,6 +396,12 @@ class TestKickSlotValidation:
 
 
 class TestStepGrid:
+    def test_step_cap(self):
+        # the default grid of N = 200 fits with room to refine; one step past the cap is refused
+        assert default_steps(sin_power_schedule(200, 6)) * 26 < MAX_STEPS
+        with pytest.raises(ResourceCapError, match=f"{MAX_STEPS + 1} steps exceed the cap"):
+            step_grid(sin_power_schedule(3, 4), MAX_STEPS + 1)
+
     def test_includes_discontinuities(self):
         s = square_schedule(3, 8.0)
         grid = step_grid(s, 7)
