@@ -10,6 +10,7 @@ row's error (2, 3 or 4), or 0 when every row succeeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -258,6 +259,7 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
+@functools.cache  # built on the first call, not at import; one tree serves every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinkick",

@@ -8,7 +8,9 @@ cross-check for the operator-graph propagation.  One loop steps the windows
 and streams the states, so final_state and heisenberg_expectation hold one at
 a time.  A window with one channel on is a product of commuting two-level
 rotations, applied in closed form; any other window is a Taylor series whose
-depth and degree a norm bound fixes up front.
+depth and degree a norm bound fixes up front.  Runs that report every grid
+time (evolve_state, heisenberg_expectation) step every window; an end-state
+run (final_state) steps each run of equal single-channel windows as one kick.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ _NORM_TOL = 1e-10
 _MAX_DEPTH = 20  # at most 2^20 Taylor substeps per window
 _THETA = np.array([[(1e-13 / 2 ** d * math.factorial(m + 1)) ** (1.0 / (m + 1)) for m in range(18)]
                    for d in range(_MAX_DEPTH + 1)])  # [depth, degree] -> largest substep bound
+_MAX_BOUND = 0.4 * 2 ** _MAX_DEPTH  # the largest window bound the Taylor path subdivides
 
 
 def _check_cap(n_sites: int, allow_large: bool):
@@ -45,6 +48,16 @@ def product_state(assignment: SiteAssignment, allow_large: bool = False) -> np.n
     for site in range(1, assignment.n_sites + 1):
         psi = np.kron(psi, assignment.site_vector(site))
     return psi
+
+
+def _step_bound(n_sites: int, dt, jx, jy, b):
+    """theta = dt*((|jx|+|jy|)(N-1) + |b|N) >= dt*||H|| of one window, or elementwise of arrays."""
+    return dt * ((abs(jx) + abs(jy)) * (n_sites - 1) + abs(b) * n_sites)
+
+
+def _too_many_substeps(theta: float) -> NumericalContractError:
+    return NumericalContractError(
+        f"state-vector step bound {theta:g} needs more than 2^{_MAX_DEPTH} substeps")
 
 
 class _ChainAction:
@@ -84,10 +97,9 @@ class _ChainAction:
         Horner-form substeps of bound s = theta/2^depth <= 0.4, each to the first degree m
         with 2^depth * s^(m+1)/(m+1)! <= 1e-13 (_THETA), so the window meets 1e-13.  Both
         paths refuse a window that would need more than 2^_MAX_DEPTH substeps."""
-        theta = dt * ((abs(jx) + abs(jy)) * (self.n_sites - 1) + abs(b) * self.n_sites)
-        if not theta <= 0.4 * 2 ** _MAX_DEPTH:  # also an infinite or NaN bound
-            raise NumericalContractError(
-                f"state-vector step bound {theta:g} needs more than 2^{_MAX_DEPTH} substeps")
+        theta = _step_bound(self.n_sites, dt, jx, jy, b)
+        if not theta <= _MAX_BOUND:  # also an infinite or NaN bound
+            raise _too_many_substeps(theta)
         if (jx != 0) + (jy != 0) + (b != 0) == 1:
             return self.kick(psi, dt, jx, jy, b)
         return self.taylor(psi, dt, jx, jy, b, theta)
@@ -127,12 +139,12 @@ class _ChainAction:
         return psi
 
 
-def _step_windows(psi0: np.ndarray, schedule: PulseSchedule, n_steps: Optional[int],
-                  allow_large: bool, read_time: float) -> Iterator[Tuple[float, np.ndarray]]:
-    """The window loop of evolve_state, final_state and heisenberg_expectation.
+def _windows(psi0: np.ndarray, schedule: PulseSchedule, n_steps: Optional[int],
+             allow_large: bool, read_time: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The step grid up to read_time and its (W, 3) amplitude table.
 
-    Yields (t, state) at every time of the step grid up to read_time, psi0
-    first, each state after its unit-norm check; the caller keeps what it reads.
+    Every window's bound is checked in one pass, so a window past the substep
+    cap fails before any is stepped.
     """
     n = schedule.n_sites
     if len(psi0) != (1 << n):
@@ -140,9 +152,41 @@ def _step_windows(psi0: np.ndarray, schedule: PulseSchedule, n_steps: Optional[i
     _check_cap(n, allow_large)
     grid = step_grid(schedule, default_steps(schedule) if n_steps is None else n_steps)
     grid = np.append(grid[grid < read_time], read_time)
-    amplitudes = window_amplitudes(schedule, grid).tolist()
-    chain = _ChainAction(n)
+    amplitudes = window_amplitudes(schedule, grid)
+    with np.errstate(over="ignore"):
+        theta = _step_bound(n, np.diff(grid), *amplitudes.T)
+    bad = np.flatnonzero(~(theta <= _MAX_BOUND))
+    if bad.size:
+        raise _too_many_substeps(theta[bad[0]])
+    return grid, amplitudes
+
+
+def _merge_runs(n_sites: int, grid: np.ndarray,
+                amplitudes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The grid and table with each run of equal windows, at most one channel on, as one window.
+
+    One channel's terms commute, so exp(-i*dt1*H) exp(-i*dt2*H) = exp(-i*(dt1+dt2)*H) is
+    exact for its run, and kick() steps it in closed form; an all-zero run is the identity.
+    Mixed windows stay as they are.  A run whose merged bound would pass the substep cap
+    keeps its windows, so step() refuses nothing that ran window by window.
+    """
+    single = np.count_nonzero(amplitudes, axis=1) <= 1
+    start = np.append(True, ~single[1:] | (amplitudes[1:] != amplitudes[:-1]).any(axis=1))
+    merged = _step_bound(n_sites, np.diff(grid[np.append(start, True)]), *amplitudes[start].T)
+    start |= ~(merged <= _MAX_BOUND)[np.cumsum(start) - 1]
+    return grid[np.append(start, True)], amplitudes[start]
+
+
+def _step_windows(psi0: np.ndarray, grid: np.ndarray,
+                  amplitudes: np.ndarray) -> Iterator[Tuple[float, np.ndarray]]:
+    """The window loop of evolve_state, final_state and heisenberg_expectation.
+
+    Yields (t, state) at every time of the grid, psi0 first, each state after
+    its unit-norm check; the caller keeps what it reads.
+    """
+    chain = _ChainAction(len(psi0).bit_length() - 1)
     times = grid.tolist()
+    amplitudes = amplitudes.tolist()
     psi = np.array(psi0, dtype=complex)
     for i, t in enumerate(times):
         if i:
@@ -161,7 +205,8 @@ def evolve_state(psi0: np.ndarray, schedule: PulseSchedule,
     Step boundaries include all schedule discontinuities and each window uses
     the window-averaged amplitudes, mirroring the coefficient propagation.
     """
-    times, states = zip(*_step_windows(psi0, schedule, n_steps, allow_large, schedule.total_time))
+    windows = _windows(psi0, schedule, n_steps, allow_large, schedule.total_time)
+    times, states = zip(*_step_windows(psi0, *windows))
     return np.array(times), np.stack(states)
 
 
@@ -169,12 +214,16 @@ def final_state(psi0: np.ndarray, schedule: PulseSchedule,
                 read_time: Optional[float] = None,
                 n_steps: Optional[int] = None,
                 allow_large: bool = False) -> np.ndarray:
-    """State at read_time (default: end of schedule) without storing the series."""
+    """State at read_time (default: end of schedule) without storing the series.
+
+    Each run of equal single-channel windows is stepped as one kick (_merge_runs).
+    """
     if read_time is None:
         read_time = schedule.total_time
     if not 0.0 <= read_time <= schedule.total_time:
         raise ValueError(f"read_time {read_time} outside [0, {schedule.total_time}]")
-    for _, psi in _step_windows(psi0, schedule, n_steps, allow_large, read_time):
+    windows = _windows(psi0, schedule, n_steps, allow_large, read_time)
+    for _, psi in _step_windows(psi0, *_merge_runs(schedule.n_sites, *windows)):
         pass
     return psi
 
@@ -213,8 +262,9 @@ def heisenberg_expectation(op_site_n: str, psi0: np.ndarray, schedule: PulseSche
     if op not in ("X", "Y"):
         raise ValueError("receiver operator must be X or Y")
     axis = "XY".index(op)
-    times, values = zip(*((t, _bloch(receiver_density(psi))[axis]) for t, psi in
-                          _step_windows(psi0, schedule, n_steps, allow_large, schedule.total_time)))
+    windows = _windows(psi0, schedule, n_steps, allow_large, schedule.total_time)
+    times, values = zip(*((t, _bloch(receiver_density(psi))[axis])
+                          for t, psi in _step_windows(psi0, *windows)))
     return np.array(times), np.array(values)
 
 
@@ -360,9 +410,7 @@ def dump_state_json(psi: np.ndarray, threshold: float = 1e-12) -> str:
     n = int(round(math.log2(len(psi))))
     if (1 << n) != len(psi):
         raise ValueError("state length is not a power of two")
-    entries = [
-        [format(i, f"0{n}b"), float(np.real(amp)), float(np.imag(amp))]
-        for i, amp in enumerate(psi)
-        if abs(amp) > threshold
-    ]
-    return json.dumps(entries)
+    psi = np.asarray(psi)
+    idx = np.flatnonzero(np.abs(psi) > threshold)
+    return json.dumps([[format(i, f"0{n}b"), re, im] for i, re, im in
+                       zip(idx.tolist(), psi.real[idx].tolist(), psi.imag[idx].tolist())])

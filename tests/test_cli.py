@@ -51,6 +51,42 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: 1000000000000 steps exceed the cap of 4194304\n"
 
+    @pytest.mark.parametrize("command", ["fidelity", "ghz"])
+    def test_huge_oracle_kick_exits_3(self, capsys, tmp_path, monkeypatch, command):
+        # each window's bound passes the 2^20-substep cap: refused before the run is merged
+        import spinkick.cli
+        from spinkick.pulses import IdealKickSchedule, KickSlot
+
+        slots = [KickSlot("Jx", 0.0, 1.0, 0.5), KickSlot("Jy", 1.0, 1.0, 1e9)]
+        if command == "fidelity":
+            path = tmp_path / "huge.json"
+            path.write_text(json.dumps(IdealKickSchedule(3, slots).to_json()))
+            argv = ["--schedule", str(path), "--samples", "10", "--read-time", "end"]
+        else:
+            monkeypatch.setattr(spinkick.cli, "ideal_schedule",
+                                lambda n, *args: IdealKickSchedule(n, slots))
+            argv = ["--sites", "X+", "0", "X+"]
+        rc, out, err = run(capsys, "oracle", command, *argv)
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("error: state-vector step bound") and "substeps" in err
+
+    def test_usage_errors_exit_2_on_every_call(self, capsys):
+        for _ in range(2):  # the second call reuses the parser the first one built
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", "--n-sites", "3", "--no-such-flag"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "usage:" in err and "Traceback" not in err
+
+    def test_parser_is_built_once(self, capsys):
+        import spinkick.cli
+
+        run(capsys, "calibrate", "--sin-m", "6")
+        parser = spinkick.cli.build_parser()
+        run(capsys, "graph", "3")
+        assert spinkick.cli.build_parser() is parser
+
     def test_schedule_file_missing_key_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"variant": "sin_power", "n_sites": 5}))
@@ -422,11 +458,21 @@ class TestDeterminism:
         assert out1 == out2
 
 
-def test_cli_import_loads_no_scipy():
-    code = ("import sys, spinkick.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _fresh_python(code: str) -> str:
+    """Stdout of code run in a new interpreter that imports this checkout's spinkick."""
     paths = [str(Path(spinkick.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, spinkick.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_python(code) == "[]"
+
+
+def test_cli_import_builds_no_parser():
+    code = "import spinkick.cli; print(spinkick.cli.build_parser.cache_info().currsize)"
+    assert _fresh_python(code) == "0"

@@ -14,6 +14,7 @@ from spinkick import (IdealKickSchedule, KickSlot, PulseSchedule, SiteAssignment
                       pauli_expectation, product_state, receiver_density,
                       sin_power_schedule)
 from spinkick.exceptions import NumericalContractError, ResourceCapError
+from spinkick.pulses import schedule_from_json, square_schedule
 
 import oracles
 
@@ -300,6 +301,137 @@ class TestFinalState:
             final_state(psi0, _zero_schedule(2), read_time=-0.1)
 
 
+def _random_state(n_sites, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=1 << n_sites) + 1j * rng.normal(size=1 << n_sites)
+    return psi / np.linalg.norm(psi)
+
+
+def _every_window(psi0, schedule, n_steps, read_time):
+    """The last state of the window-by-window loop up to read_time, nothing merged."""
+    windows = oracle._windows(psi0, schedule, n_steps, False, read_time)
+    return list(oracle._step_windows(psi0, *windows))[-1][1]
+
+
+def _count_calls(monkeypatch, *methods):
+    calls = {name: 0 for name in methods}
+    for name in methods:
+        def counted(self, *args, _name=name, _method=getattr(oracle._ChainAction, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(oracle._ChainAction, name, counted)
+    return calls
+
+
+class TestEndStateMerge:
+    """final_state steps each run of equal single-channel windows as one kick."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 8), scheme=st.sampled_from(["JxJy", "JxB"]),
+           duration=st.floats(0.2, 3.0), n_steps=st.one_of(st.none(), st.integers(1, 300)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_ideal_kicks(self, n, scheme, duration, n_steps, seed):
+        s = ideal_schedule(n, scheme, duration)
+        psi0 = _random_state(n, seed)
+        _, states = evolve_state(psi0, s, n_steps)
+        np.testing.assert_allclose(final_state(psi0, s, n_steps=n_steps), states[-1],
+                                   rtol=0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 5), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_square_delta_on_and_off_the_grid(self, n, data, seed):
+        if data.draw(st.booleans(), label="pulse edges on grid points"):
+            spp = data.draw(st.integers(8, 60), label="steps per pi")
+            j = data.draw(st.integers(1, (spp - 1) // 2), label="grid steps per half pulse")
+            delta, n_steps = spp / (2 * j), 2 * n * spp
+        else:
+            delta = data.draw(st.floats(1.5, 20.0), label="delta")
+            n_steps = data.draw(st.integers(20, 400).filter(lambda k: k % (2 * n)),
+                                label="steps, not a multiple of 2N")
+        s = square_schedule(n, delta)
+        psi0 = _random_state(n, seed)
+        _, states = evolve_state(psi0, s, n_steps)
+        np.testing.assert_allclose(final_state(psi0, s, n_steps=n_steps), states[-1],
+                                   rtol=0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 6), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_json_ideal_schedule_with_gaps(self, n, data, seed):
+        slots, t = [], 0.0
+        for _ in range(data.draw(st.integers(1, 5), label="slots")):
+            t += data.draw(st.sampled_from([0.0, 0.3, 1.7]), label="gap")
+            duration = data.draw(st.floats(0.1, 2.0), label="duration")
+            slots.append({"channel": data.draw(st.sampled_from(["Jx", "Jy", "B"]), label="channel"),
+                          "start": t, "duration": duration,
+                          "amplitude": data.draw(st.floats(-2.0, 2.0).filter(bool), label="amp")})
+            t += duration
+        s = schedule_from_json(json.loads(json.dumps(
+            {"variant": "ideal_kicks", "n_sites": n, "slots": slots})))
+        psi0 = _random_state(n, seed)
+        n_steps = data.draw(st.one_of(st.none(), st.integers(1, 200)), label="steps")
+        _, states = evolve_state(psi0, s, n_steps)
+        np.testing.assert_allclose(final_state(psi0, s, n_steps=n_steps), states[-1],
+                                   rtol=0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 6), scheme=st.sampled_from(["JxJy", "JxB"]), data=st.data(),
+           n_steps=st.one_of(st.none(), st.integers(1, 300)), seed=st.integers(0, 2 ** 32 - 1))
+    def test_read_time_inside_a_kick(self, n, scheme, data, n_steps, seed):
+        s = ideal_schedule(n, scheme)
+        slot = data.draw(st.sampled_from(s.slots), label="kick")
+        read = slot.start + data.draw(st.floats(0.01, 0.99), label="fraction") * slot.duration
+        psi0 = _random_state(n, seed)
+        np.testing.assert_allclose(final_state(psi0, s, read, n_steps),
+                                   _every_window(psi0, s, n_steps, read), rtol=0, atol=1e-12)
+
+    def test_ghz_n12_is_twelve_kicks(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "kick", "taylor")
+        report = ghz_compare(SiteAssignment.parse(",".join(["X+"] + ["0"] * 10 + ["X+"])))
+        assert calls == {"kick": 12, "taylor": 0}
+        assert report.fidelity == pytest.approx(1.0, abs=1e-12)
+
+    def test_square_pulse_windows_keep_one_taylor_step_each(self, monkeypatch):
+        # one kick per J-only stretch (head, N - 2 between pulses, tail), the pulses as before
+        s = square_schedule(4, 16.0)
+        grid = oracle.step_grid(s, oracle.default_steps(s))
+        pulse_windows = int(np.sum(np.count_nonzero(oracle.window_amplitudes(s, grid), axis=1) > 1))
+        calls = _count_calls(monkeypatch, "kick", "taylor")
+        final_state(product_state(SiteAssignment.parse("+,0,0,0")), s)
+        assert calls == {"kick": 4, "taylor": pulse_windows}
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 4), (4, 6), (5, 8)])
+    def test_sin_power_is_bit_identical(self, monkeypatch, n, m):
+        # sin^m windows all mix Jx and B: nothing merges, so the end state and
+        # the Monte-Carlo columns are the window-by-window results bit for bit
+        s = sin_power_schedule(n, m)
+        psi0 = _random_state(n, n)
+        _, states = evolve_state(psi0, s, 40 * n)
+        np.testing.assert_array_equal(final_state(psi0, s, n_steps=40 * n), states[-1])
+        merged = monte_carlo_average_fidelity(s, 300, seed=5, read_time=2.5, n_steps=40 * n)
+        monkeypatch.setattr(oracle, "_merge_runs", lambda n_sites, grid, amps: (grid, amps))
+        assert merged == monte_carlo_average_fidelity(s, 300, seed=5, read_time=2.5, n_steps=40 * n)
+
+    def test_run_past_the_substep_cap_keeps_its_windows(self):
+        # each of the 10 windows has bound 100 * 1000 = 1e5 < 0.4 * 2^20; the whole kick 1e6
+        s = IdealKickSchedule(2, [KickSlot("Jx", 0.0, 1000.0, 1000.0)])
+        psi0 = product_state(SiteAssignment.parse("+,0"))
+        _, states = evolve_state(psi0, s, 10)
+        np.testing.assert_array_equal(final_state(psi0, s, n_steps=10), states[-1])
+
+    @pytest.mark.parametrize("run", [
+        lambda psi0, s: final_state(psi0, s, n_steps=40),
+        lambda psi0, s: ghz_compare(SiteAssignment.parse("X+,0,X+"), s, n_steps=40),
+    ], ids=["final_state", "ghz_compare"])
+    def test_huge_amplitude_is_refused_before_any_step(self, monkeypatch, run):
+        # the whole kick would step in closed form; its windows' bounds are still checked,
+        # all of them before the first window is stepped
+        s = IdealKickSchedule(3, [KickSlot("Jx", 0.0, 1.0, 0.5), KickSlot("Jy", 1.0, 1.0, 1e9)])
+        calls = _count_calls(monkeypatch, "step")
+        with pytest.raises(NumericalContractError, match="substeps"):
+            run(product_state(SiteAssignment.parse("+,0,0")), s)
+        assert calls == {"step": 0}
+
+
 class TestReceiverDensity:
     def test_pure_product(self):
         phi = np.array([0.6, 0.8j])
@@ -489,3 +621,16 @@ class TestDumpStateJson:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             dump_state_json(np.zeros(3))
+
+    @pytest.mark.parametrize("n", [2, 4, 9])
+    def test_matches_the_per_amplitude_loop(self, n):
+        rng = np.random.default_rng(n)
+        psi = (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)) * rng.choice(
+            [0.0, 1e-13, 1.0], size=1 << n)
+        threshold = 1e-12
+        psi[:3] = [threshold, threshold * 1j, -threshold]  # exactly at the threshold: dropped
+        psi[-1] = np.nextafter(threshold, 1.0)
+        for state in (psi, psi / np.linalg.norm(psi), psi.real.copy()):
+            entries = [[format(i, f"0{n}b"), float(np.real(amp)), float(np.imag(amp))]
+                       for i, amp in enumerate(state) if abs(amp) > threshold]
+            assert dump_state_json(state, threshold) == json.dumps(entries)
