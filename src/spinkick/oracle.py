@@ -168,8 +168,11 @@ def _merge_runs(n_sites: int, grid: np.ndarray,
     One channel's terms commute, so exp(-i*dt1*H) exp(-i*dt2*H) = exp(-i*(dt1+dt2)*H) is
     exact for its run, and kick() steps it in closed form; an all-zero run is the identity.
     Mixed windows stay as they are.  A run whose merged bound would pass the substep cap
-    keeps its windows, so step() refuses nothing that ran window by window.
+    keeps its windows, so step() refuses nothing that ran window by window.  A grid with
+    no windows (read_time 0) is returned as it is.
     """
+    if not len(amplitudes):
+        return grid, amplitudes
     single = np.count_nonzero(amplitudes, axis=1) <= 1
     start = np.append(True, ~single[1:] | (amplitudes[1:] != amplitudes[:-1]).any(axis=1))
     merged = _step_bound(n_sites, np.diff(grid[np.append(start, True)]), *amplitudes[start].T)

@@ -356,6 +356,13 @@ class TestOracleCommands:
         assert rc == 0
         assert json.loads(out)["read_time"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("shape", [["--scheme", "JxJy"], ["--sin-m", "4"]])
+    def test_fidelity_at_read_time_zero(self, capsys, shape):
+        rc, out, _ = run(capsys, "oracle", "fidelity", "--n-sites", "3", *shape,
+                         "--samples", "20", "--read-time", "0")
+        assert rc == 0
+        assert json.loads(out)["read_time"] == 0.0
+
     @pytest.mark.parametrize("n_sites,scheme", [("3", "JxJy"), ("4", "JxB")])
     def test_fidelity_closed_form_at_negative_alpha(self, capsys, n_sites, scheme):
         # both kick sequences end with alpha_N = -1, a perfect transfer up to

@@ -384,6 +384,13 @@ class TestEndStateMerge:
         np.testing.assert_allclose(final_state(psi0, s, read, n_steps),
                                    _every_window(psi0, s, n_steps, read), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("make", [lambda: ideal_schedule(3, "JxJy"),
+                                      lambda: sin_power_schedule(3, 4)], ids=["ideal", "sin4"])
+    def test_read_time_zero_is_the_initial_state(self, make):
+        # the grid up to t = 0 has no window, so there is nothing to merge or step
+        psi0 = _random_state(3, 11)
+        np.testing.assert_array_equal(final_state(psi0, make(), read_time=0.0), psi0)
+
     def test_ghz_n12_is_twelve_kicks(self, monkeypatch):
         calls = _count_calls(monkeypatch, "kick", "taylor")
         report = ghz_compare(SiteAssignment.parse(",".join(["X+"] + ["0"] * 10 + ["X+"])))
