@@ -19,9 +19,9 @@ import numpy as np
 
 from . import __version__
 from .exceptions import NumericalContractError, ResourceCapError
-from .fidelity import SweepSpec, average_fidelity, joint_read_time, run_sweep, sweep_csv
-from .flux import information_flux, propagate, series_csv, summary
-from .graph import build_graph, chain, export_dot, graph_json
+from .fidelity import SweepSpec, average_fidelity, joint_read_time, run_sweep, summary, sweep_csv
+from .flux import information_flux, propagate, series_csv
+from .graph import build_graph, export_dot, graph_json
 from .oracle import (SiteAssignment, dump_state_json, ghz_compare, heisenberg_expectation,
                      monte_carlo_average_fidelity, product_state)
 from .pulses import (DEFAULT_STEPS_PER_PI, QUARTER_TURN, boxcar_shape, calibrate_amplitude,
@@ -108,7 +108,7 @@ def cmd_simulate(args) -> int:
     n = schedule.n_sites
     n_steps = _steps_for(args, schedule)
     seed = 1 if args.seed_node == "X" else n + 1
-    result = propagate(chain(n), schedule, n_steps, seed=seed)
+    result = propagate(schedule, n_steps, seed=seed)
     meta = {"n_steps": n_steps, "seed_node": args.seed_node, **_schedule_params(schedule)}
     csv_text = _meta_lines("simulate", meta) + series_csv(result)
     _write(csv_text, args.out)
@@ -179,7 +179,7 @@ def cmd_oracle_compare(args) -> int:
     schedule = _make_schedule(args)
     n = schedule.n_sites
     n_steps = _steps_for(args, schedule)
-    result = propagate(chain(n), schedule, n_steps)
+    result = propagate(schedule, n_steps)
     rest = SiteAssignment.uniform(n - 1, "Z", 1)
     predicted = information_flux(result, rest)[("X", "X")]
     psi0 = product_state(SiteAssignment([("X", 1)] + [("Z", 1)] * (n - 1)))
@@ -200,7 +200,7 @@ def cmd_oracle_fidelity(args) -> int:
     schedule = _make_schedule(args)
     n = schedule.n_sites
     n_steps = _steps_for(args, schedule)
-    result = propagate(chain(n), schedule, n_steps)
+    result = propagate(schedule, n_steps)
     if args.read_time == "end":
         read_time = schedule.total_time
     elif args.read_time == "auto":

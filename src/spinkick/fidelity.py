@@ -9,7 +9,6 @@ import numpy as np
 
 from .exceptions import NumericalContractError, SpinkickError
 from .flux import FluxResult, max_alpha, propagate
-from .graph import chain
 from .pulses import DEFAULT_STEPS_PER_PI, FAMILIES, default_steps
 
 _CLAMP_TOL = 1e-9
@@ -22,6 +21,12 @@ def average_fidelity(alpha_n: float) -> float:
         raise NumericalContractError(f"transfer coefficient {alpha_n} outside [-1, 1]")
     a = min(1.0, a)
     return 0.5 * (1.0 + a * (2.0 / 3.0 + a / 3.0))
+
+
+def summary(result: FluxResult) -> dict:
+    """Transfer summary for the canonical sender-end node (index N)."""
+    t_star, value = max_alpha(result, result.n_sites)
+    return {"max_alpha_N": value, "t_star": t_star, "fidelity": average_fidelity(value)}
 
 
 def joint_average_fidelity(a, b):
@@ -90,7 +95,7 @@ def run_sweep(spec: SweepSpec) -> List[SweepRow]:
         try:
             schedule = factory(**params)
             n = schedule.n_sites
-            result = propagate(chain(n), schedule, default_steps(schedule, spec.steps_per_pi))
+            result = propagate(schedule, default_steps(schedule, spec.steps_per_pi))
             t_star, alpha = max_alpha(result, n)
             rows.append(SweepRow(
                 param_value=float(value),
@@ -129,4 +134,4 @@ def joint_read_time(result: FluxResult) -> Tuple[float, float, float]:
 
 def transfer_read_time(schedule, n_steps: Optional[int] = None) -> Tuple[float, float, float]:
     """Best joint read-out time predicted by one propagation for both receiver seeds."""
-    return joint_read_time(propagate(chain(schedule.n_sites), schedule, n_steps))
+    return joint_read_time(propagate(schedule, n_steps))

@@ -16,7 +16,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .exceptions import NumericalContractError, ResourceCapError
-from .graph import GeneratorMatrix
+from .graph import GeneratorMatrix, chain
 from .pauli import SiteAssignment, string_expectation
 from .pulses import PulseSchedule, default_steps, step_grid, window_amplitudes
 
@@ -94,9 +94,8 @@ class FluxResult:
         return np.linalg.norm(self.alphas, axis=1)
 
 
-def propagate(k: GeneratorMatrix, schedule: PulseSchedule,
-              n_steps: Optional[int] = None, seed: int = 1) -> FluxResult:
-    """Propagate the coefficient vector of canonical node `seed` (1-based).
+def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int = 1) -> FluxResult:
+    """Propagate the coefficient vector of canonical node `seed` (1-based) on chain(N).
 
     Channel amplitudes are averaged exactly over each window and every
     schedule discontinuity is a window boundary, so piecewise-constant
@@ -109,11 +108,11 @@ def propagate(k: GeneratorMatrix, schedule: PulseSchedule,
     first j maps and M = Q_n the period map, the column at window j of period
     p is P M^p Q_j e_seed, P being the product of the windows before the
     first period.  Windows before and after the periods are stepped one by one.
+
+    The step cap (step_grid) and the table cap are checked before the
+    generator is built, so a refused run never builds the operator graph.
     """
-    if k.n_sites != schedule.n_sites:
-        raise ValueError(
-            f"generator is for N={k.n_sites}, schedule for N={schedule.n_sites}")
-    dim = k.dim
+    dim = 2 * schedule.n_sites  # the closure of X_N has 2N strings
     if not 1 <= seed <= dim:
         raise ValueError(f"seed {seed} outside 1..{dim}")
     if n_steps is None:
@@ -122,6 +121,7 @@ def propagate(k: GeneratorMatrix, schedule: PulseSchedule,
     if len(grid) * dim > MAX_TABLE_FLOATS:
         raise ResourceCapError(f"{len(grid)} times x {dim} coefficients exceed the cap of "
                                f"{MAX_TABLE_FLOATS} floats in the coefficient table")
+    k = chain(schedule.n_sites)
     # site-1 rows found by operator: their canonical indices swap with the parity of N
     rows = [next(i for i, p in enumerate(k.nodes) if p.op_at(1) == op) for op in "XY"]
     cols = [seed - 1, 0, k.n_sites]  # the seed's column, then the X_N and Y_N seeds
@@ -262,15 +262,3 @@ def series_csv(result: FluxResult) -> str:
     norms = result.norms()
     return header + "".join(row % (t, *alphas.tolist(), norm) for t, alphas, norm in
                             zip(result.times, result.alphas, norms))
-
-
-def summary(result: FluxResult) -> dict:
-    """Transfer summary for the canonical sender-end node (index N)."""
-    from .fidelity import average_fidelity
-
-    t_star, value = max_alpha(result, result.n_sites)
-    return {
-        "max_alpha_N": value,
-        "t_star": t_star,
-        "fidelity": average_fidelity(value),
-    }

@@ -137,13 +137,15 @@ class GeneratorMatrix:
         return jx * self.k_jx + jy * self.k_jy + b * self.k_b
 
 
-def generator_matrices(g: OperatorGraph) -> GeneratorMatrix:
-    """Assemble K_Jx, K_Jy, K_B from the edge list.
+@functools.lru_cache(maxsize=32)
+def chain(n_sites: int) -> GeneratorMatrix:
+    """K_Jx, K_Jy, K_B of the N-site chain, built once per N and shared, so read-only.
 
     For an edge a -> b with sign s the coefficient flow is
     alpha_b' += -2*c*s*alpha_a and alpha_a' += +2*c*s*alpha_b, i.e.
     K[b,a] = -s and K[a,b] = +s on that channel.
     """
+    g = build_graph(n_sites)
     dim = len(g.nodes)
     matchings, mats = [], []
     for ch in CHANNELS:
@@ -154,17 +156,9 @@ def generator_matrices(g: OperatorGraph) -> GeneratorMatrix:
         mat[m.b, m.a] = -m.sign
         matchings.append(m)
         mats.append(mat)
-    return GeneratorMatrix(g.n_sites, g.nodes, *mats, tuple(matchings))
-
-
-@functools.lru_cache(maxsize=32)
-def chain(n_sites: int) -> GeneratorMatrix:
-    """Generators of the N-site chain, built once per N and shared, so read-only."""
-    graph = build_graph(n_sites)
-    k = generator_matrices(graph)
-    for mat in (k.k_jx, k.k_jy, k.k_b, *(a for m in k.matchings for a in m)):
+    for mat in (*mats, *(a for m in matchings for a in m)):
         mat.setflags(write=False)
-    return k
+    return GeneratorMatrix(n_sites, g.nodes, *mats, tuple(matchings))
 
 
 def export_dot(g: OperatorGraph) -> str:

@@ -123,12 +123,13 @@ class IdealKickSchedule(PulseSchedule):
         return 0.0, 0.0, 0.0
 
     def average_amplitudes(self, t0, t1):
+        # amplitude * (overlap / dt) is the slot amplitude itself for a window inside the slot
         acc = {"Jx": 0.0, "Jy": 0.0, "B": 0.0}
+        dt = t1 - t0
         for s in self.slots:
             overlap = np.minimum(t1, s.end) - np.maximum(t0, s.start)
-            acc[s.channel] += s.amplitude * np.maximum(overlap, 0.0)
-        dt = t1 - t0
-        return acc["Jx"] / dt, acc["Jy"] / dt, acc["B"] / dt
+            acc[s.channel] += s.amplitude * (np.maximum(overlap, 0.0) / dt)
+        return acc["Jx"], acc["Jy"], acc["B"]
 
     def discontinuities(self):
         out = []

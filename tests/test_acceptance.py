@@ -8,13 +8,12 @@ budget covers building any result not already cached.
 """
 import math
 import time
-from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from spinkick import (SiteAssignment, average_fidelity, build_graph, chain_terms,
-                      default_steps, generator_matrices, ghz_compare,
+from spinkick import (SiteAssignment, average_fidelity, build_graph, chain, chain_terms,
+                      default_steps, ghz_compare,
                       heisenberg_expectation, ideal_schedule, information_flux,
                       max_alpha, mirror_state, monte_carlo_average_fidelity,
                       product_state, propagate, sin_power_schedule, square_schedule,
@@ -28,11 +27,6 @@ ODD_TO_15 = tuple(range(3, 16, 2))
 SQUARE_DELTAS = tuple(float(d) for d in range(5, 21))
 
 
-@lru_cache(maxsize=None)
-def _gen(n):
-    return generator_matrices(build_graph(n))
-
-
 _RESULTS = {}
 
 
@@ -40,21 +34,21 @@ def _ideal(n, scheme):
     key = ("ideal", scheme, n)
     if key not in _RESULTS:
         # kick amplitudes are piecewise constant, so one step per window is exact
-        _RESULTS[key] = propagate(_gen(n), ideal_schedule(n, scheme), 1)
+        _RESULTS[key] = propagate(ideal_schedule(n, scheme), 1)
     return _RESULTS[key]
 
 
 def _sin(n, m):
     key = ("sin", m, n)
     if key not in _RESULTS:
-        _RESULTS[key] = propagate(_gen(n), sin_power_schedule(n, m))
+        _RESULTS[key] = propagate(sin_power_schedule(n, m))
     return _RESULTS[key]
 
 
 def _square(n, delta):
     key = ("square", delta, n)
     if key not in _RESULTS:
-        _RESULTS[key] = propagate(_gen(n), square_schedule(n, delta))
+        _RESULTS[key] = propagate(square_schedule(n, delta))
     return _RESULTS[key]
 
 
@@ -117,7 +111,7 @@ def test_criterion_3_operator_graph(capsys):
     def body():
         g = build_graph(5)
         assert [str(p) for p in g.nodes] == expected_nodes
-        k = _gen(5)
+        k = chain(5)
         assert k.k_b[0, 5] == 1.0 and k.k_b[5, 0] == -1.0
         assert k.k_jy[0, 1] == -1.0 and k.k_jy[1, 0] == 1.0
         assert not np.any(k.k_jx[0]) and not np.any(k.k_jx[:, 0])
@@ -178,7 +172,7 @@ def test_criterion_6_flux_vs_exact_oracle(capsys):
                              sin_power_schedule(n, 6),
                              square_schedule(n, 8.0)):
                 n_steps = default_steps(schedule)
-                result = propagate(_gen(n), schedule, n_steps)
+                result = propagate(schedule, n_steps)
                 rest = SiteAssignment.uniform(n - 1, "Z", 1)
                 predicted = information_flux(result, rest)[("X", "X")]
                 psi0 = product_state(SiteAssignment([("X", 1)] + [("Z", 1)] * (n - 1)))
@@ -236,7 +230,7 @@ def test_criterion_9_step_doubling_stability(capsys):
     def body():
         coarse = abs(max_alpha(_sin(5, 6), 5)[1])
         schedule = sin_power_schedule(5, 6)
-        doubled = propagate(_gen(5), schedule, 2 * default_steps(schedule))
+        doubled = propagate(schedule, 2 * default_steps(schedule))
         fine = abs(max_alpha(doubled, 5)[1])
         assert abs(fine - coarse) < 1e-6, (coarse, fine)
 

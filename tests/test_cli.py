@@ -51,6 +51,15 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: 1000000000000 steps exceed the cap of 4194304\n"
 
+    def test_coefficient_table_past_the_cap_exits_4(self, capsys, monkeypatch):
+        # 1,200,001 times x 3000 coefficients: refused before the operator graph is built
+        monkeypatch.setattr(spinkick.flux, "chain", lambda n: pytest.fail("built the generator"))
+        rc, out, err = run(capsys, "simulate", "--n-sites", "1500", "--sin-m", "6")
+        assert rc == 4
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: 1200001 times x 3000")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["fidelity", "ghz"])
     def test_huge_oracle_kick_exits_3(self, capsys, tmp_path, monkeypatch, command):
         # each window's bound passes the 2^20-substep cap: refused before the run is merged

@@ -200,13 +200,12 @@ class TestTransferReadTime:
         assert (abs(a), abs(b)) == pytest.approx((1.0, 1.0), abs=1e-9)
 
     def test_read_time_attains_joint_grid_maximum(self):
-        from spinkick import build_graph, generator_matrices, propagate
+        from spinkick import propagate
 
         s = ideal_schedule(4, "JxB")
         read_time, a, b = transfer_read_time(s, 40)
-        k = generator_matrices(build_graph(4))
-        rx = propagate(k, s, 40)
-        ry = propagate(k, s, 40, seed=5)
+        rx = propagate(s, 40)
+        ry = propagate(s, 40, seed=5)
         x_node = next(i + 1 for i, p in enumerate(rx.nodes) if p.op_at(1) == "X")
         y_node = next(i + 1 for i, p in enumerate(rx.nodes) if p.op_at(1) == "Y")
         joint = joint_average_fidelity(rx.alpha_series(x_node), ry.alpha_series(y_node))

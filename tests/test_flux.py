@@ -7,19 +7,15 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from spinkick import (FluxResult, IdealKickSchedule, KickSlot, SiteAssignment,
-                      SinPowerSchedule, build_graph, chain, generator_matrices,
+                      SinPowerSchedule, build_graph, chain,
                       information_flux, max_alpha, propagate, series_csv,
                       sin_power_schedule, square_schedule, summary, ideal_schedule)
 from spinkick.exceptions import NumericalContractError, ResourceCapError
 from spinkick import flux
 from spinkick.flux import default_steps, expm_series, rotation_map
-from spinkick.pulses import step_grid, window_amplitudes
+from spinkick.pulses import MAX_STEPS, step_grid, window_amplitudes
 
 import oracles
-
-
-def _gen(n_sites):
-    return generator_matrices(build_graph(n_sites))
 
 
 def _field_only(n_sites, amplitude, duration=1.0):
@@ -112,13 +108,13 @@ class TestClosedFormWindows:
     def test_matches_the_expm_series_loop(self, n, make):
         s = make(n)
         for seed in (1, n + 1):
-            r = propagate(chain(n), s, seed=seed)
+            r = propagate(s, seed=seed)
             np.testing.assert_allclose(r.alphas, _expm_loop(chain(n), s, seed), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("scheme", ["JxJy", "JxB"])
     def test_ideal_kicks_need_no_series(self, monkeypatch, scheme):
         calls = _count_expm(monkeypatch)
-        propagate(chain(25), ideal_schedule(25, scheme))
+        propagate(ideal_schedule(25, scheme))
         assert not calls
 
     @pytest.mark.parametrize("delta,mixed", [(16.0, 26), (20.0, 20)])
@@ -126,7 +122,7 @@ class TestClosedFormWindows:
         # the J-only head, tail and gaps are rotations; only windows under a B pulse are mixed
         calls = _count_expm(monkeypatch)
         s = square_schedule(25, delta)
-        propagate(chain(25), s)
+        propagate(s)
         grid = step_grid(s, default_steps(s))
         amps = window_amplitudes(s, grid)
         first, n, _ = flux._period_windows(s, grid, amps)
@@ -137,10 +133,18 @@ class TestClosedFormWindows:
 class TestResourceCap:
     def test_table_cap_refuses_before_allocating(self, monkeypatch):
         monkeypatch.setattr(flux, "MAX_TABLE_FLOATS", 10 * 10)
-        assert len(propagate(chain(5), sin_power_schedule(5, 6), 9).times) == 10  # at the cap
+        assert len(propagate(sin_power_schedule(5, 6), 9).times) == 10  # at the cap
         monkeypatch.setattr(flux, "window_amplitudes", lambda *args: pytest.fail("allocated"))
         with pytest.raises(ResourceCapError, match="11 times x 10 coefficients"):
-            propagate(chain(5), sin_power_schedule(5, 6), 10)
+            propagate(sin_power_schedule(5, 6), 10)
+
+    def test_caps_are_checked_before_the_generator_is_built(self, monkeypatch):
+        monkeypatch.setattr(flux, "chain", lambda n: pytest.fail("built the generator"))
+        s = sin_power_schedule(1500, 6)
+        with pytest.raises(ResourceCapError, match="1200001 times x 3000 coefficients"):
+            propagate(s)
+        with pytest.raises(ResourceCapError, match=f"{MAX_STEPS + 1} steps exceed the cap"):
+            propagate(s, MAX_STEPS + 1)
 
     @pytest.mark.parametrize("make", [lambda: sin_power_schedule(200, 6),
                                       lambda: square_schedule(200, 8.0),
@@ -153,7 +157,7 @@ class TestResourceCap:
 class TestPropagate:
     def test_zero_schedule_is_constant(self):
         s = SinPowerSchedule(3, 2, 0.0, 0.0)
-        r = propagate(_gen(3), s, 16)
+        r = propagate(s, 16)
         assert np.all(r.alphas[:, 0] == 1.0)
         assert np.max(np.abs(r.alphas[:, 1:])) == 0.0
 
@@ -162,7 +166,7 @@ class TestPropagate:
         and Y_N picks up -sin(2*beta), with beta the accumulated field area."""
         beta_rate = math.pi / 4
         s = _field_only(5, beta_rate)
-        r = propagate(_gen(5), s, 8)
+        r = propagate(s, 8)
         beta = beta_rate * r.times
         np.testing.assert_allclose(r.alpha_series(1), np.cos(2 * beta), atol=1e-12)
         np.testing.assert_allclose(r.alpha_series(6), -np.sin(2 * beta), atol=1e-12)
@@ -189,7 +193,7 @@ class TestPropagate:
         Same window discretization on both sides, independent algebra."""
         s = schedule_maker(n_sites)
         n_steps = 40
-        r = propagate(_gen(n_sites), s, n_steps)
+        r = propagate(s, n_steps)
         dense = oracles.heisenberg_coefficients(s, r.times, r.nodes)
         np.testing.assert_allclose(r.alphas, dense, atol=1e-10)
 
@@ -197,7 +201,7 @@ class TestPropagate:
         # seeding the Y_N node propagates the partner family
         n = 3
         s = ideal_schedule(n, "JxJy")
-        r = propagate(_gen(n), s, 24, seed=n + 1)
+        r = propagate(s, 24, seed=n + 1)
         g = build_graph(n)
         y_n = oracles.site_matrix(n, n, "Y")
         mats = [oracles.string_matrix(str(p)) for p in g.nodes]
@@ -216,18 +220,18 @@ class TestPropagate:
     ])
     def test_ideal_transfer_signs(self, n_sites, scheme, expected):
         s = ideal_schedule(n_sites, scheme)
-        r = propagate(_gen(n_sites), s, 1)
+        r = propagate(s, 1)
         assert r.alphas[-1, n_sites - 1] == pytest.approx(expected, abs=1e-12)
 
     def test_norms_conserved(self):
-        r = propagate(_gen(4), sin_power_schedule(4, 6), 400)
+        r = propagate(sin_power_schedule(4, 6), 400)
         np.testing.assert_allclose(r.norms(), 1.0, atol=1e-12)
 
     def test_kick_confinement(self):
         # a single Jy kick only moves weight between the seed and its partner
         n = 4
         s = IdealKickSchedule(n, [KickSlot("Jy", 0.0, 1.0, 0.3)])
-        r = propagate(_gen(n), s, 10)
+        r = propagate(s, 10)
         active = {0, 1}
         others = [j for j in range(2 * n) if j not in active]
         assert np.max(np.abs(r.alphas[:, others])) == 0.0
@@ -237,29 +241,25 @@ class TestPropagate:
         halving the step should cut the error at a fixed time by about 4."""
         n = 3
         s = sin_power_schedule(n, 4)
-        k = _gen(n)
         values = []
         for n_steps in (40, 80, 160):
-            r = propagate(k, s, n_steps)
+            r = propagate(s, n_steps)
             mid = len(r.times) // 2  # nested grids, common midpoint
             values.append(r.alphas[mid, n - 1])
         ratio = (values[0] - values[1]) / (values[1] - values[2])
         assert 3.0 < ratio < 5.0
 
     def test_validation(self):
-        k = _gen(3)
         with pytest.raises(ValueError):
-            propagate(k, sin_power_schedule(4, 4))
+            propagate(sin_power_schedule(3, 4), seed=7)
         with pytest.raises(ValueError):
-            propagate(k, sin_power_schedule(3, 4), seed=7)
-        with pytest.raises(ValueError):
-            propagate(k, sin_power_schedule(3, 4), seed=0)
+            propagate(sin_power_schedule(3, 4), seed=0)
 
     @pytest.mark.parametrize("scheme", ["JxJy", "JxB"])
     def test_ideal_kicks_transfer_exactly_for_every_length(self, scheme):
         # the closed-form kick order must follow the graph path for odd and even N
         for n in range(2, 13):
-            r = propagate(_gen(n), ideal_schedule(n, scheme), 1)
+            r = propagate(ideal_schedule(n, scheme), 1)
             assert abs(r.alphas[-1, n - 1]) == pytest.approx(1.0, abs=1e-9), n
 
     @pytest.mark.parametrize("n_sites", range(2, 8))
@@ -268,9 +268,9 @@ class TestPropagate:
         lambda n: ideal_schedule(n, "JxJy"), lambda n: ideal_schedule(n, "JxB"),
     ], ids=["sin6", "square8", "JxJy", "JxB"])
     def test_transfer_block_matches_both_seeded_runs(self, n_sites, make):
-        s, k = make(n_sites), _gen(n_sites)
-        rx = propagate(k, s, 60, seed=1)
-        ry = propagate(k, s, 60, seed=n_sites + 1)
+        s = make(n_sites)
+        rx = propagate(s, 60, seed=1)
+        ry = propagate(s, 60, seed=n_sites + 1)
         # the site-1 X node is canonical index N for odd N and 2N for even N
         x1 = n_sites if n_sites % 2 else 2 * n_sites
         y1 = 2 * n_sites if n_sites % 2 else n_sites
@@ -335,9 +335,8 @@ class TestPeriodReuse:
         seed = data.draw(st.integers(1, 2 * n), label="seed")
         periods = (n - 1) if square else 2 * n
         assert _reused_periods(s, n_steps) == (0 if off_multiple else periods)
-        k = chain(n)
-        r = propagate(k, s, n_steps, seed)
-        ref = propagate(k, _window_loop(s), n_steps, seed)
+        r = propagate(s, n_steps, seed)
+        ref = propagate(_window_loop(s), n_steps, seed)
         assert np.array_equal(r.times, ref.times)
         np.testing.assert_allclose(r.alphas, ref.alphas, rtol=0, atol=1e-12)
         np.testing.assert_allclose(r.transfer, ref.transfer, rtol=0, atol=1e-12)
@@ -348,15 +347,15 @@ class TestPeriodReuse:
         assert _reused_periods(s, 320) == 0
         calls = []
         monkeypatch.setattr(flux, "expm_series", lambda a: calls.append(1) or expm_series(a))
-        r = propagate(chain(4), s, 320)
+        r = propagate(s, 320)
         assert len(calls) == 320
-        ref = propagate(chain(4), _window_loop(s), 320)
+        ref = propagate(_window_loop(s), 320)
         assert np.array_equal(r.alphas, ref.alphas) and np.array_equal(r.transfer, ref.transfer)
 
     def test_one_period_of_exponentials(self, monkeypatch):
         calls = []
         monkeypatch.setattr(flux, "expm_series", lambda a: calls.append(1) or expm_series(a))
-        r = propagate(chain(25), sin_power_schedule(25, 6))
+        r = propagate(sin_power_schedule(25, 6))
         assert len(r.times) == 20001
         assert len(calls) == 400
 
@@ -364,7 +363,7 @@ class TestPeriodReuse:
 class TestMaxAlpha:
     def test_zero_series(self):
         s = SinPowerSchedule(3, 2, 0.0, 0.0)
-        r = propagate(_gen(3), s, 8)
+        r = propagate(s, 8)
         t_star, value = max_alpha(r, 3)
         assert t_star == 0.0
         assert value == 0.0
@@ -372,18 +371,18 @@ class TestMaxAlpha:
     def test_plateau_capped_at_unit(self):
         # coarse ideal grid: samples 0.707, 1, 1 around the peak would fit a
         # parabola above 1, which is outside the reachable range
-        r = propagate(_gen(3), ideal_schedule(3, "JxJy"), 6)
+        r = propagate(ideal_schedule(3, "JxJy"), 6)
         t_star, value = max_alpha(r, 3)
         assert value == pytest.approx(-1.0, abs=1e-12)
         assert 2.0 <= t_star <= 2.5
 
     def test_refinement_beats_grid(self):
-        r = propagate(_gen(3), sin_power_schedule(3, 6), 300)
+        r = propagate(sin_power_schedule(3, 6), 300)
         t_star, value = max_alpha(r, 3)
         grid_best = np.max(np.abs(r.alpha_series(3)))
         assert abs(value) >= grid_best
         assert abs(value) <= 1.0
-        fine = propagate(_gen(3), sin_power_schedule(3, 6), 6000)
+        fine = propagate(sin_power_schedule(3, 6), 6000)
         _, fine_value = max_alpha(fine, 3)
         assert value == pytest.approx(fine_value, abs=1e-5)
 
@@ -400,13 +399,13 @@ class TestMaxAlpha:
 
     def test_boundary_peak_returns_grid_point(self):
         # quarter field kick: |alpha_Y| still rising when the window ends
-        r = propagate(_gen(3), _field_only(3, math.pi / 8), 4)
+        r = propagate(_field_only(3, math.pi / 8), 4)
         t_star, value = max_alpha(r, 4)
         assert t_star == pytest.approx(1.0)
         assert value == pytest.approx(-math.sin(math.pi / 4), abs=1e-12)
 
     def test_node_range_checked(self):
-        r = propagate(_gen(3), ideal_schedule(3, "JxJy"), 1)
+        r = propagate(ideal_schedule(3, "JxJy"), 1)
         with pytest.raises(ValueError):
             max_alpha(r, 7)
 
@@ -415,7 +414,7 @@ class TestInformationFlux:
     @pytest.mark.parametrize("n_sites", [3, 4, 5])
     def test_rest_in_ground_reproduces_alpha(self, n_sites):
         # which family holds the leading-X node alternates with N
-        r = propagate(_gen(n_sites), sin_power_schedule(n_sites, 4), 50)
+        r = propagate(sin_power_schedule(n_sites, 4), 50)
         flux = information_flux(r, SiteAssignment.uniform(n_sites - 1, "Z", 1))
         x_node = next(i + 1 for i, p in enumerate(r.nodes) if p.op_at(1) == "X")
         y_node = next(i + 1 for i, p in enumerate(r.nodes) if p.op_at(1) == "Y")
@@ -427,7 +426,7 @@ class TestInformationFlux:
     @pytest.mark.parametrize("n_sites", [3, 4])
     def test_rest_all_excited_flips_parity(self, n_sites):
         # the Z tail over N-1 flipped spins contributes (-1)^(N-1)
-        r = propagate(_gen(n_sites), sin_power_schedule(n_sites, 4), 50)
+        r = propagate(sin_power_schedule(n_sites, 4), 50)
         flux = information_flux(r, SiteAssignment.uniform(n_sites - 1, "Z", -1))
         ground = information_flux(r, SiteAssignment.uniform(n_sites - 1, "Z", 1))
         parity = (-1.0) ** (n_sites - 1)
@@ -435,12 +434,12 @@ class TestInformationFlux:
 
     def test_rest_in_x_basis_blocks_z_tails(self):
         n = 3
-        r = propagate(_gen(n), sin_power_schedule(n, 4), 50)
+        r = propagate(sin_power_schedule(n, 4), 50)
         flux = information_flux(r, SiteAssignment.uniform(n - 1, "X", 1))
         assert np.max(np.abs(flux[("X", "X")])) == 0.0
 
     def test_validation(self):
-        r = propagate(_gen(3), sin_power_schedule(3, 4), 10)
+        r = propagate(sin_power_schedule(3, 4), 10)
         with pytest.raises(ValueError):
             information_flux(r, SiteAssignment.uniform(3, "Z", 1))
         with pytest.raises(ValueError):
@@ -449,7 +448,7 @@ class TestInformationFlux:
 
 class TestReporting:
     def test_series_csv_shape(self):
-        r = propagate(_gen(2), ideal_schedule(2, "JxJy"), 4)
+        r = propagate(ideal_schedule(2, "JxJy"), 4)
         text = series_csv(r)
         lines = text.strip().split("\n")
         assert lines[0] == "t,alpha_1,alpha_2,alpha_3,alpha_4,norm"
@@ -461,7 +460,7 @@ class TestReporting:
 
     def test_series_csv_matches_per_value_format(self):
         # the row template must print what format(v, ".17g") printed value by value
-        r = propagate(_gen(3), sin_power_schedule(3, 4), 30)
+        r = propagate(sin_power_schedule(3, 4), 30)
         alphas = r.alphas.copy()
         alphas[1, :3] = [-0.0, 1e-300, 1.0 / 3.0]
         r = FluxResult(times=r.times, alphas=alphas, transfer=r.transfer, seed=1,
@@ -471,7 +470,7 @@ class TestReporting:
         assert series_csv(r).splitlines()[1:] == rows
 
     def test_summary_ideal(self):
-        r = propagate(_gen(3), ideal_schedule(3, "JxJy"), 1)
+        r = propagate(ideal_schedule(3, "JxJy"), 1)
         report = summary(r)
         assert set(report) == {"max_alpha_N", "t_star", "fidelity"}
         assert report["max_alpha_N"] == pytest.approx(-1.0, abs=1e-12)

@@ -397,6 +397,15 @@ class TestEndStateMerge:
         assert calls == {"kick": 12, "taylor": 0}
         assert report.fidelity == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("scheme", ["JxJy", "JxB"])
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_ghz_is_one_kick_per_slot(self, monkeypatch, n, scheme):
+        # every window inside a slot averages to the slot amplitude bit for bit, so no kick splits
+        s = ideal_schedule(n, scheme)
+        calls = _count_calls(monkeypatch, "kick", "taylor")
+        ghz_compare(SiteAssignment.parse(",".join(["X+"] + ["0"] * (n - 2) + ["X+"])), s)
+        assert calls == {"kick": len(s.slots), "taylor": 0}
+
     def test_square_pulse_windows_keep_one_taylor_step_each(self, monkeypatch):
         # one kick per J-only stretch (head, N - 2 between pulses, tail), the pulses as before
         s = square_schedule(4, 16.0)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from spinkick import (IdealKickSchedule, KickSlot, PulseSchedule, SinPowerSchedule,
-                      SiteAssignment, SquareDeltaSchedule, calibrate_amplitude, chain,
+                      SiteAssignment, SquareDeltaSchedule, calibrate_amplitude,
                       default_steps, evolve_state, ideal_schedule, product_state, propagate,
                       schedule_from_json, sin_power_schedule, square_schedule, step_grid,
                       window_amplitudes)
@@ -493,6 +493,6 @@ class TestWindowAmplitudes:
         monkeypatch.setattr(flux, "expm_series", no_step)
         monkeypatch.setattr(oracle._ChainAction, "step", no_step)
         with pytest.raises(NumericalContractError):
-            propagate(chain(3), _LateNaN(), 10)
+            propagate(_LateNaN(), 10)
         with pytest.raises(NumericalContractError):
             evolve_state(product_state(SiteAssignment.parse("+,0,0")), _LateNaN(), 10)
