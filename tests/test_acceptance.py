@@ -209,12 +209,18 @@ def test_criterion_8_entangled_state_generation(capsys):
         SiteAssignment.parse("X+,X+,0,0,X+,X+"),
     ]
     all_z = [SiteAssignment.parse("1,0,0,1"), SiteAssignment.parse("1,0,0,0,0,0")]
+    odd = [SiteAssignment.parse(",".join(["X+"] + ["0"] * (n - 2) + ["X+"])) for n in (3, 5, 7, 13)]
 
     def body():
         for assignment in symmetric:
             report = ghz_compare(assignment)
             assert report.fidelity == pytest.approx(1.0, abs=1e-9), str(assignment)
             assert report.phase_index in (0, 1)
+        for assignment in odd:
+            for scheme in ("JxJy", "JxB"):
+                report = ghz_compare(assignment, ideal_schedule(assignment.n_sites, scheme))
+                assert report.fidelity == pytest.approx(1.0, abs=1e-9), (str(assignment), scheme)
+                assert report.phase_index in (0, 1)
         for assignment in all_z:
             report = ghz_compare(assignment)
             n = assignment.n_sites

@@ -173,13 +173,23 @@ class TestWindowStep:
         amps = [(-magnitude if negative else magnitude) if c == channel else 0.0
                 for c in ("Jx", "Jy", "B")]
         chain = oracle._ChainAction(n)
-        chain.apply = lambda *args: pytest.fail("a single-channel window applied H")
+        chain.apply = chain.gather = lambda *args, **kwargs: pytest.fail(
+            "a single-channel window applied H")
         got = chain.step(psi, dt, *amps)
-        del chain.apply  # the Taylor reference below needs the real one
+        del chain.apply, chain.gather  # the Taylor reference below needs the real ones
+        assert chain.columns is None  # no ELL table for a kick
         theta = dt * magnitude * (n if channel == "B" else n - 1)
         want = expm(-1j * dt * oracles.chain_hamiltonian(n, *amps)) @ psi
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
         np.testing.assert_allclose(got, chain.taylor(psi, dt, *amps, theta), rtol=0, atol=1e-13)
+
+    def test_numpy_scalar_amplitudes_step_like_floats(self):
+        # a mixed window given as numpy scalars still takes the Taylor path, not a kick
+        psi = _random_state(4, 3)
+        chain = oracle._ChainAction(4)
+        amps = (0.3, 0.7, 0.2)
+        np.testing.assert_array_equal(chain.step(psi, 0.5, *map(np.float64, amps)),
+                                      chain.step(psi, 0.5, *amps))
 
     @pytest.mark.parametrize("amplitude", [1e30, np.inf, np.nan])
     def test_depth_guard(self, amplitude):
@@ -193,20 +203,53 @@ class TestWindowStep:
         lambda psi0, s: monte_carlo_average_fidelity(s, 10, seed=1, n_steps=1),
     ], ids=["final_state", "evolve_state", "monte_carlo"])
     def test_huge_kick_raises_instead_of_hanging(self, monkeypatch, run):
-        apply = oracle._ChainAction.apply
         calls = []
-
-        def counted(self, *args):
-            calls.append(None)
-            if len(calls) > 1000:
-                raise AssertionError("the step kept subdividing past 1000 H applications")
-            return apply(self, *args)
-
-        monkeypatch.setattr(oracle._ChainAction, "apply", counted)
+        for name in ("apply", "gather"):  # both forms of an H application
+            def counted(self, *args, _method=getattr(oracle._ChainAction, name), **kwargs):
+                calls.append(None)
+                if len(calls) > 1000:
+                    raise AssertionError("the step kept subdividing past 1000 H applications")
+                return _method(self, *args, **kwargs)
+            monkeypatch.setattr(oracle._ChainAction, name, counted)
         kick = IdealKickSchedule(2, [KickSlot("Jx", 0.0, 1.0, 1e30)])
         with pytest.raises(NumericalContractError, match="substeps"):
             run(product_state(SiteAssignment.parse("+,0")), kick)
         assert not calls
+
+
+_couplings = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
+class TestGather:
+    """The one-gather H application against the per-bond apply() it replaces."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 11), coupling=_couplings, b=_couplings,
+           yy=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_coupling_is_bit_identical(self, n, coupling, b, yy, seed):
+        jx, jy = (0.0, coupling) if yy else (coupling, 0.0)
+        chain = oracle._ChainAction(n)
+        psi = _random_state(n, seed)
+        np.testing.assert_array_equal(chain.gather(psi, chain.values(jx, jy, b)),
+                                      chain.apply(psi, jx, jy, b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 11), jx=_couplings, jy=_couplings, b=_couplings,
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_any_couplings_agree(self, n, jx, jy, b, seed):
+        chain = oracle._ChainAction(n)
+        psi = _random_state(n, seed)
+        np.testing.assert_allclose(chain.gather(psi, chain.values(jx, jy, b)),
+                                   chain.apply(psi, jx, jy, b), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n,used,unused", [(2, "gather", "apply"), (11, "gather", "apply"),
+                                               (12, "apply", "gather")])
+    def test_the_state_size_picks_the_form(self, monkeypatch, n, used, unused):
+        calls = _count_calls(monkeypatch, "apply", "gather")
+        chain = oracle._ChainAction(n)
+        chain.step(_random_state(n, n), 0.05, 0.3, 0.2, 0.5)
+        assert calls[used] > 0 and calls[unused] == 0
+        assert (chain.columns is None) == (used == "apply")
 
 
 class TestConservationLaws:
@@ -264,6 +307,9 @@ class TestHeisenbergExpectation:
         np.testing.assert_array_equal(times, ref_times)
         np.testing.assert_allclose(values, [pauli_expectation(p, label) for p in states],
                                    rtol=0, atol=1e-14)
+        axis = "XY".index(op)
+        np.testing.assert_array_equal(
+            values, [oracle._bloch(receiver_density(p))[axis] for p in states])
         assert np.max(np.abs(values)) > 0.5
 
     def test_rejects_bad_operator(self):
@@ -316,9 +362,10 @@ def _every_window(psi0, schedule, n_steps, read_time):
 def _count_calls(monkeypatch, *methods):
     calls = {name: 0 for name in methods}
     for name in methods:
-        def counted(self, *args, _name=name, _method=getattr(oracle._ChainAction, name)):
+        def counted(self, *args, _name=name, _method=getattr(oracle._ChainAction, name),
+                    **kwargs):
             calls[_name] += 1
-            return _method(self, *args)
+            return _method(self, *args, **kwargs)
         monkeypatch.setattr(oracle._ChainAction, name, counted)
     return calls
 
@@ -592,6 +639,36 @@ class TestGhz:
         a = SiteAssignment.parse("X+,0,0,X+")
         report = ghz_compare(a, ideal_schedule(4, "JxB"))
         assert report.fidelity == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("scheme", ["JxJy", "JxB"])
+    @pytest.mark.parametrize("tokens", [
+        "X+,0,X+", "X-,1,X-", "Y+,0,Y+", "X+,X+,X+", "X+,0,0,0,X+", "Y-,1,0,1,Y-",
+        "X+,X-,0,X-,X+", "X+,0,X+,1,X+,0,X+", ",".join(["X+"] + ["0"] * 11 + ["X+"])])
+    def test_odd_n(self, tokens, scheme):
+        # the kicks keep X (Y) at the mirror site for odd N, so the branches take a phase gate
+        a = SiteAssignment.parse(tokens)
+        report = ghz_compare(a, ideal_schedule(a.n_sites, scheme))
+        assert report.fidelity == pytest.approx(1.0, abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 6), data=st.data())
+    def test_kick_image_is_the_dense_conjugation(self, n, data):
+        x = data.draw(st.integers(0, (1 << n) - 1), label="x")
+        z = data.draw(st.integers(0, (1 << n) - 1), label="z")
+        channels = [slot.channel for slot in ideal_schedule(n, "JxJy").slots]
+
+        def matrix(x, z):
+            return oracles.string_matrix(
+                "IXZY"[(x >> (n - k) & 1) + 2 * (z >> (n - k) & 1)] for k in range(1, n + 1))
+
+        u = np.eye(1 << n)
+        for channel in channels:
+            jx, jy = (1.0, 0.0) if channel == "Jx" else (0.0, 1.0)
+            u = expm(-0.25j * np.pi * oracles.chain_hamiltonian(n, jx, jy, 0.0)) @ u
+        image = u @ matrix(x, z) @ u.conj().T
+        # a Pauli string up to phase: |Tr(Q^dagger image)| = 2^N for the mapped Q
+        want = matrix(*oracle._kick_image(n, channels, x, z))
+        assert abs(np.trace(want.conj().T @ image)) == pytest.approx(1 << n, abs=1e-9)
 
     def test_mixed_bases_rejected(self):
         a = SiteAssignment([("X", 1), ("Z", 1), ("Z", 1), ("Y", 1)])
