@@ -8,7 +8,7 @@ cross-check for the operator-graph propagation.  One loop steps the windows
 and streams the states, so final_state and heisenberg_expectation hold one at
 a time.  A window with one channel on is a product of commuting two-level
 rotations, applied in closed form; any other window is a Taylor series whose
-depth and degree a norm bound fixes up front.  Up to 11 sites each Taylor
+depth and degree a norm bound fixes up front.  Up to 10 sites each Taylor
 window keeps H in ELL form, a column table of the N index maps and a value
 table built once per window, and applies it with one gather; larger chains
 apply H bond by bond, where the ELL temporaries outgrow the cache.  Runs that
@@ -37,7 +37,7 @@ _MAX_DEPTH = 20  # at most 2^20 Taylor substeps per window
 _THETA = np.array([[(1e-13 / 2 ** d * math.factorial(m + 1)) ** (1.0 / (m + 1)) for m in range(18)]
                    for d in range(_MAX_DEPTH + 1)])  # [depth, degree] -> largest substep bound
 _MAX_BOUND = 0.4 * 2 ** _MAX_DEPTH  # the largest window bound the Taylor path subdivides
-_GATHER_MAX_SITES = 11  # Taylor windows apply H by one gather up to here, bond by bond above
+_GATHER_MAX_SITES = 10  # Taylor windows apply H by one gather up to here, bond by bond above
 
 
 def _check_cap(n_sites: int, allow_large: bool):
@@ -71,7 +71,9 @@ class _ChainAction:
 
     Each bond term flips two bits of the basis index: flips[k] is the index map of bond
     k + 1, and yy_signs[k] the sign that YY adds to that flip; diag_z is sum Z.  apply()
-    adds the terms bond by bond, two or three numpy calls per bond.
+    adds the terms bond by bond, two or three numpy calls per bond.  Each bond keeps its
+    own arrays: as rows of one (N-1, 2^N) table they cost apply() 2-4% per window at
+    N = 11 and 12.
 
     Taylor windows on at most _GATHER_MAX_SITES sites use the ELL form instead: a column
     table (N, 2^N) whose row 0 is the identity index and rows 1..N-1 are the flips, and a
@@ -81,10 +83,11 @@ class _ChainAction:
     rows are summed in apply()'s order, so with jx or jy zero the two agree bit for bit.
     The column table is built on the first Taylor window, so kick-only runs build none.
 
-    Up to 11 sites Python dispatch sets the cost, and the gather is 3.5x faster per
-    application at N = 7.  From 12 sites the (N, 2^N) temporaries leave the cache: a
-    sin^6 column at N = 12 takes 1.5x as long with the gather, so larger chains keep
-    apply().
+    On small chains Python dispatch sets the cost: a whole sin^6 column takes half as
+    long with the gather at N = 8 and 9, and 0.63 as long at N = 10.  From 11 sites the
+    (N, 2^N) temporaries leave the cache, and the column takes 1.18x as long at N = 11
+    and 1.5x at N = 12, so larger chains keep apply().  Per application alone the gather
+    still reads faster at N = 11 and 12, so that measure does not decide the rule.
     """
 
     def __init__(self, n_sites: int):
@@ -312,10 +315,9 @@ def heisenberg_expectation(op_site_n: str, psi0: np.ndarray, schedule: PulseSche
     op = op_site_n.upper()
     if op not in ("X", "Y"):
         raise ValueError("receiver operator must be X or Y")
-    # <X_N> = 2 Re rho[0, 1] and <Y_N> = 2 Im rho[1, 0], as _bloch reads them
-    row, col, part = (0, 1, np.real) if op == "X" else (1, 0, np.imag)
+    axis = "XY".index(op)
     windows = _windows(psi0, schedule, n_steps, allow_large, schedule.total_time)
-    times, values = zip(*((t, 2.0 * part(receiver_density(psi)[row, col]))
+    times, values = zip(*((t, _bloch(receiver_density(psi), axis))
                           for t, psi in _step_windows(psi0, *windows)))
     return np.array(times), np.array(values)
 
@@ -326,13 +328,16 @@ def receiver_density(psi: np.ndarray) -> np.ndarray:
     return m.T @ m.conj()
 
 
-def _bloch(rho: np.ndarray) -> np.ndarray:
-    """Bloch vectors of one or a stack of (..., 2, 2) density matrices."""
-    return np.stack([
-        2.0 * np.real(rho[..., 0, 1]),
-        2.0 * np.imag(rho[..., 1, 0]),
-        np.real(rho[..., 0, 0] - rho[..., 1, 1]),
-    ], axis=-1)
+def _bloch(rho: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
+    """Bloch vectors of one or a stack of (..., 2, 2) density matrices, or only their
+    component `axis` (0 x, 1 y, 2 z), without forming the other two."""
+    if axis is None:
+        return np.stack([_bloch(rho, a) for a in range(3)], axis=-1)
+    if axis == 0:
+        return 2.0 * np.real(rho[..., 0, 1])
+    if axis == 1:
+        return 2.0 * np.imag(rho[..., 1, 0])
+    return np.real(rho[..., 0, 0] - rho[..., 1, 1])
 
 
 def _receiver_correction(blocks: np.ndarray) -> np.ndarray:
