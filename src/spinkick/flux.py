@@ -6,17 +6,23 @@ step k is the column (M_0 M_1 ... M_{k-1}) e_seed with the EARLIEST window
 leftmost.  The running matrix product keeps that order; a naive chronological
 update alpha <- M_k alpha composes the windows backwards and is wrong whenever
 the generators of different windows fail to commute.
+
+Windows with one channel on commute with each other when they share the
+channel: each channel's generator is a matching, so a run of such windows is
+one plane rotation per edge at the summed angle (rotate_run), and the running
+product advances by one Givens update per run.  Only windows that mix
+channels take a dense exponential (expm_series).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .exceptions import NumericalContractError, ResourceCapError
-from .graph import GeneratorMatrix, chain
+from .graph import Matching, chain
 from .pauli import SiteAssignment, string_expectation
 from .pulses import PulseSchedule, default_steps, step_grid, window_amplitudes
 
@@ -52,20 +58,34 @@ def expm_series(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def rotation_map(k: GeneratorMatrix, channel: int, angle: float) -> np.ndarray:
-    """exp(angle * K_ch) in closed form for channel 0, 1 or 2 (Jx, Jy, B).
+def rotate_run(product: np.ndarray, matching: Matching, angles: np.ndarray,
+               cols: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A run of windows on one channel in closed form: (weights, basis, product).
 
-    K_ch is a matching, so the exponential is the identity with the rotation
-    [[cos, s*sin], [-s*sin, cos]] on the nodes (a, b) of each edge of sign s.
-    Its 1-norm |angle| meets the bound of expm_series.
+    The channel's generator K is a matching, so the window maps exp(angle_k*K)
+    commute and compose to one plane rotation per edge at the summed angle
+    phi_j.  Columns `cols` of the product after window j are
+    weights[j] @ basis, contracted over the first axis of the (3, dim,
+    len(cols)) basis: P cos(phi_j) + P K sin(phi_j) on matched nodes, P on
+    the others.  The returned product is P exp(phi*K) at the run's whole
+    angle, one Givens update of the matched column pairs.  Every angle is
+    checked against the expm_series bound before anything is computed.
     """
-    _check_norm(abs(angle))
-    a, b, sign = k.matchings[channel]
-    out = np.eye(k.dim)
-    out[a, a] = out[b, b] = math.cos(angle)
-    out[a, b] = sign * math.sin(angle)
-    out[b, a] = -out[a, b]
-    return out
+    bad = ~(np.abs(angles) <= _MAX_NORM)  # also an infinite or NaN angle
+    if bad.any():
+        _check_norm(abs(angles[bad.argmax()]))
+    a, b, s = matching
+    partner, sign = np.arange(len(product)), np.zeros(len(product))
+    partner[a], partner[b] = b, a
+    sign[a], sign[b] = -s, s  # column j of P @ K is sign[j] * P[:, partner[j]]
+    phi = np.cumsum(angles)
+    matched = sign[cols] != 0
+    now = product[:, cols]
+    basis = np.stack([now * ~matched, now * matched, product[:, partner[cols]] * sign[cols]])
+    weights = np.column_stack([np.ones(len(phi)), np.cos(phi), np.sin(phi)])
+    _, cos, sin = weights[-1]
+    product = product * np.where(sign != 0, cos, 1.0) + product[:, partner] * (sign * sin)
+    return weights, basis, product
 
 
 def _check_norm(norm: float) -> None:
@@ -99,15 +119,24 @@ def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int 
 
     Channel amplitudes are averaged exactly over each window and every
     schedule discontinuity is a window boundary, so piecewise-constant
-    schedules are integrated without time-stepping error.  A window with at
-    most one channel on takes its map from rotation_map, any other window
-    from expm_series.
+    schedules are integrated without time-stepping error.
+
+    The windows are stepped by runs.  A run is a maximal stretch of windows
+    with the same single channel on (an all-zero window counts as one with
+    angle 0); a window with two or more channels on is a run by itself and
+    takes its map from expm_series.  A channel's generator K_c is a
+    matching, so its edges commute and the maps of a run with window angles
+    theta_k = 2*dt_k*amp_k compose to exp(phi*K_c), one plane rotation per
+    edge at the summed angle phi.  With P the product before the run, the
+    columns after window j are P cos(phi_j) + P K_c sin(phi_j) on matched
+    nodes and P on the others, written straight into the output rows; the
+    product then advances by one Givens update at the run's whole angle.
 
     Where the schedule's periodicity holds on the grid (see _period_windows),
-    one period of window maps is exponentiated: with Q_j the product of its
-    first j maps and M = Q_n the period map, the column at window j of period
-    p is P M^p Q_j e_seed, P being the product of the windows before the
-    first period.  Windows before and after the periods are stepped one by one.
+    one period of windows is stepped from the identity: with Q_j the product
+    of its first j maps and M = Q_n the period map, the column at window j of
+    period p is P M^p Q_j e_seed, P being the product of the windows before
+    the first period.  Runs end at the head, period and tail boundaries.
 
     The step cap (step_grid) and the table cap are checked before the
     generator is built, so a refused run never builds the operator graph.
@@ -128,40 +157,45 @@ def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int 
     alphas = np.zeros((len(grid), dim))
     alphas[0, seed - 1] = 1.0
     transfer = np.zeros((len(grid), 2, 2))  # at t = 0 both seeds sit on site N
+    # output targets: (2-D view, the part of a (..., dim, len(cols)) column stack its rows keep)
+    history = [(alphas, lambda s: s[..., 0]),
+               (transfer.reshape(-1, 4), lambda s: s[..., rows, 1:].reshape(s.shape[:-2] + (4,)))]
 
-    def window_map(i):
-        scale = 2.0 * (grid[i + 1] - grid[i])
-        if channel[i] < 0:
-            return expm_series(scale * k.combined(*amps[i]))
-        return rotation_map(k, channel[i], scale * amps[i, channel[i]])
+    def put(out, at, columns):
+        for view, keep in out:
+            view[at] = keep(columns)
 
-    def record(at, columns):  # product[:, cols] at time index `at`, or a stack for a slice
-        alphas[at] = columns[..., 0]
-        transfer[at] = columns[..., rows, 1:]
-
-    def walk(product, windows):
-        for i in windows:
-            product = product @ window_map(i)
-            record(i + 1, product[:, cols])
+    def step(product, lo, hi, out, shift):
+        """product times the maps of windows lo..hi-1, by runs; window i's columns to row i+shift."""
+        c = channel[lo:hi]
+        starts = np.flatnonzero((c != np.r_[-2, c[:-1]]) | (c < 0)) + lo  # mixed: a run by itself
+        for i, j in zip(starts, np.r_[starts[1:], hi]):
+            if channel[i] < 0:
+                scale = 2.0 * (grid[i + 1] - grid[i])
+                product = product @ expm_series(scale * k.combined(*amps[i]))
+                put(out, i + shift, product[:, cols])
+                continue
+            angles = 2.0 * (grid[i + 1:j + 1] - grid[i:j]) * amps[i:j, channel[i]]
+            weights, basis, product = rotate_run(product, k.matchings[channel[i]], angles, cols)
+            for view, keep in out:  # rows i..j-1 of the run, with no stacked temporary
+                np.matmul(weights, keep(basis), out=view[i + shift:j + shift])
         return product
 
-    # window_amplitudes rejects a non-finite amplitude, both maps an inf or NaN norm
+    # window_amplitudes rejects non-finite amplitudes, rotate_run and expm_series inf or NaN norms
     with np.errstate(over="ignore", invalid="ignore"):
         amps = window_amplitudes(schedule, grid)
         on = amps != 0.0
-        channel = np.where(on.sum(axis=1) <= 1, on.argmax(axis=1), -1)  # the one channel on, else -1
+        channel = np.where(on.sum(axis=1) <= 1, on.argmax(axis=1), -1)  # the channel on, else -1
         first, n, count = _period_windows(schedule, grid, amps)
-        product = walk(np.eye(dim), range(first))
-        period_map = np.eye(dim)
+        product = step(np.eye(dim), 0, first, history, 1)
         partial = np.empty((n, dim, len(cols)))  # Q_j[:, cols], never the (n, dim, dim) stack
-        for j in range(n):
-            period_map = period_map @ window_map(first + j)
-            partial[j] = period_map[:, cols]
+        period = [(partial.reshape(n, dim * len(cols)), lambda s: s.reshape(s.shape[:-2] + (-1,)))]
+        period_map = step(np.eye(dim), first, first + n, period, -first)
         for p in range(count):
             at = first + p * n + 1
-            record(slice(at, at + n), product @ partial)
+            put(history, slice(at, at + n), product @ partial)
             product = product @ period_map
-        walk(product, range(first + count * n, len(amps)))
+        step(product, first + count * n, len(amps), history, 1)
     return FluxResult(times=grid, alphas=alphas, transfer=transfer, seed=seed,
                       nodes=k.nodes, n_sites=k.n_sites)
 

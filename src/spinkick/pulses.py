@@ -374,7 +374,11 @@ def step_grid(schedule: PulseSchedule, n_steps: int) -> np.ndarray:
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if n_steps > MAX_STEPS:
-        raise ResourceCapError(f"{n_steps} steps exceed the cap of {MAX_STEPS}")
+        count = n_steps
+        if n_steps >= 10 ** 15:  # 16 digits or more in %.3g form, also past the float range
+            import decimal  # here, not at the top: importing it adds 0.3 MB of resident memory
+            count = f"{decimal.Decimal(str(n_steps)).normalize():.3g}"
+        raise ResourceCapError(f"{count} steps exceed the cap of {MAX_STEPS}")
     total = schedule.total_time
     tol = 1e-12 * total
     base = np.linspace(0.0, total, n_steps + 1)

@@ -51,6 +51,26 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: 1000000000000 steps exceed the cap of 4194304\n"
 
+    def test_step_count_of_a_late_slot_is_short(self, capsys, tmp_path):
+        # a slot at t = 1e300 asks for a 303-digit step count: printed in %.3g form
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps({"variant": "ideal_kicks", "n_sites": 3, "slots": [
+            {"channel": "Jx", "start": 1e300, "duration": 1, "amplitude": 1}]}))
+        rc, out, err = run(capsys, "simulate", "--schedule", str(path))
+        assert rc == 4
+        assert out == ""
+        assert err == "error: 1.27e+302 steps exceed the cap of 4194304\n"
+
+    @pytest.mark.parametrize("amplitude,norm", [(1e30, "1.5625e+28"), (1e308, "1.5625e+306")])
+    def test_huge_kick_exits_3_with_its_window_norm(self, capsys, tmp_path, amplitude, norm):
+        path = tmp_path / "kick.json"
+        path.write_text(json.dumps({"variant": "ideal_kicks", "n_sites": 3, "slots": [
+            {"channel": "Jx", "start": 0, "duration": 1, "amplitude": amplitude}]}))
+        rc, out, err = run(capsys, "simulate", "--schedule", str(path))
+        assert rc == 3
+        assert out == ""
+        assert err == f"error: step generator norm {norm} too large\n"
+
     def test_coefficient_table_past_the_cap_exits_4(self, capsys, monkeypatch):
         # 1,200,001 times x 3000 coefficients: refused before the operator graph is built
         monkeypatch.setattr(spinkick.flux, "chain", lambda n: pytest.fail("built the generator"))

@@ -110,6 +110,15 @@ class TestRunSweep:
             assert abs(r.max_alpha) == pytest.approx(1.0, abs=1e-9)
             assert r.fidelity_max == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("scheme", ["JxJy", "JxB"])
+    def test_ideal_sweeps_transfer_exactly(self, scheme):
+        # the paper's perfect transfer: each kick is one exact rotation, the peak a kick boundary
+        spec = SweepSpec("ideal_kicks", "n_sites", tuple(range(2, 17)), {"scheme": scheme})
+        for r in run_sweep(spec):
+            assert r.error is None
+            assert abs(abs(r.max_alpha) - 1.0) <= 1e-14, r
+            assert abs(r.t_star - round(r.t_star)) <= 1e-9, r
+
     def test_sin_sharpness_sweep_improves_fidelity(self):
         spec = SweepSpec("sin_power", "m", (2.0, 4.0, 6.0), {"n_sites": 3},
                          steps_per_pi=60)

@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from spinkick import (FluxResult, IdealKickSchedule, KickSlot, SiteAssignment,
                       sin_power_schedule, square_schedule, summary, ideal_schedule)
 from spinkick.exceptions import NumericalContractError, ResourceCapError
 from spinkick import flux
-from spinkick.flux import default_steps, expm_series, rotation_map
+from spinkick.flux import default_steps, expm_series, rotate_run
 from spinkick.pulses import MAX_STEPS, step_grid, window_amplitudes
 
 import oracles
@@ -63,32 +64,56 @@ class TestExpmSeries:
             expm_series(a)
 
 
-class TestRotationMap:
+class TestRotateRun:
     @settings(max_examples=80, deadline=None)
-    @given(n=st.integers(2, 12), channel=st.integers(0, 2), angle=st.floats(-60.0, 60.0))
-    def test_matches_expm_series(self, n, channel, angle):
+    @given(n=st.integers(2, 12), channel=st.integers(0, 2), rng_seed=st.integers(0, 2 ** 32 - 1),
+           angles=st.lists(st.one_of(st.just(0.0), st.floats(-60.0, 60.0)), min_size=1, max_size=50))
+    def test_matches_the_expm_series_product(self, n, channel, rng_seed, angles):
         k = chain(n)
-        u = rotation_map(k, channel, angle)
+        a = np.random.default_rng(rng_seed).normal(size=(2 * n, 2 * n))
+        start = expm_series(a - a.T)  # an orthogonal product before the run
+        cols = np.arange(2 * n)  # record every column
+        weights, basis, product = rotate_run(start, k.matchings[channel], np.array(angles), cols)
         generator = (k.k_jx, k.k_jy, k.k_b)[channel]
-        np.testing.assert_allclose(u, expm_series(angle * generator), rtol=0, atol=1e-13)
-        np.testing.assert_allclose(u @ u.T, np.eye(2 * n), rtol=0, atol=1e-13)
+        ref = start
+        for w, angle in zip(weights, angles):
+            ref = ref @ expm_series(angle * generator)
+            np.testing.assert_allclose(np.tensordot(w, basis, 1), ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(product, ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(product @ product.T, np.eye(2 * n), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("angle", [1e30, np.inf, np.nan])
     def test_depth_guard(self, angle):
         with pytest.raises(NumericalContractError, match="too large"):
-            rotation_map(chain(3), 0, angle)
+            rotate_run(np.eye(6), chain(3).matchings[0], np.array([0.5, angle]), [0])
 
 
 def _expm_loop(k, schedule, seed):
-    """Coefficient history with one expm_series map per window, products in time order."""
+    """(alphas, transfer) with one expm_series map per window, products in time order."""
     grid = step_grid(schedule, default_steps(schedule))
     amps = window_amplitudes(schedule, grid)
+    site1 = [next(i for i, p in enumerate(k.nodes) if p.op_at(1) == op) for op in "XY"]
     product = np.eye(k.dim)
-    rows = [product[:, seed - 1]]
+    columns = [product[:, [seed - 1, 0, k.n_sites]]]
     for dt, row in zip(np.diff(grid), amps):
         product = product @ expm_series(2.0 * dt * k.combined(*row))
-        rows.append(product[:, seed - 1])
-    return np.array(rows)
+        columns.append(product[:, [seed - 1, 0, k.n_sites]])
+    columns = np.array(columns)
+    return columns[:, :, 0], columns[:, site1, 1:]
+
+
+def _gapped(n):
+    """Ideal kicks with an idle gap before each slot after the first."""
+    return IdealKickSchedule(n, [KickSlot(slot.channel, slot.start + 0.37 * i, slot.duration,
+                                          slot.amplitude)
+                                 for i, slot in enumerate(ideal_schedule(n, "JxB").slots)])
+
+
+def _same_channel_steps(n):
+    """Back-to-back Jx slots of different amplitudes, then B and Jy: one run of varying angles."""
+    amps = (0.3, -1.1, 0.7, 2.0)
+    slots = [KickSlot("Jx", 0.5 * i, 0.5, a) for i, a in enumerate(amps)]
+    return IdealKickSchedule(n, slots + [KickSlot("B", 2.0, 0.6, 0.9), KickSlot("Jy", 2.6, 0.4, -0.8)])
 
 
 def _count_expm(monkeypatch):
@@ -104,12 +129,20 @@ class TestClosedFormWindows:
         lambda n: ideal_schedule(n, "JxB"),
         lambda n: square_schedule(n, 16.0),
         lambda n: square_schedule(n, 7.3),
-    ], ids=["JxJy", "JxB", "square-16", "square-7.3"])
+        _gapped,
+        _same_channel_steps,
+        lambda n: sin_power_schedule(n, 8),
+        lambda n: sin_power_schedule(n, 12),
+    ], ids=["JxJy", "JxB", "square-16", "square-7.3", "gapped", "same-channel", "sin8", "sin12"])
     def test_matches_the_expm_series_loop(self, n, make):
+        # single-channel windows inside the stepped period: sin^12 at every N, sin^8 at N = 11
+        # and 15; elsewhere sin^8's appear in later periods, which reuse period 0's maps
         s = make(n)
         for seed in (1, n + 1):
             r = propagate(s, seed=seed)
-            np.testing.assert_allclose(r.alphas, _expm_loop(chain(n), s, seed), rtol=0, atol=1e-12)
+            alphas, transfer = _expm_loop(chain(n), s, seed)
+            np.testing.assert_allclose(r.alphas, alphas, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(r.transfer, transfer, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("scheme", ["JxJy", "JxB"])
     def test_ideal_kicks_need_no_series(self, monkeypatch, scheme):
@@ -281,6 +314,26 @@ class TestPropagate:
                 for col, seeded in enumerate((rx, ry)):
                     np.testing.assert_allclose(result.transfer[:, row, col],
                                                seeded.alpha_series(node), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("make,bound", [
+        (lambda: ideal_schedule(25, "JxJy"), 1e-15), (lambda: ideal_schedule(25, "JxB"), 1e-15),
+        (lambda: square_schedule(25, 16.0), 1e-13), (lambda: square_schedule(25, 20.0), 1e-13),
+    ], ids=["JxJy", "JxB", "square-16", "square-20"])
+    def test_norm_drift_at_25_sites(self, make, bound):
+        # one rotation per run: the product takes no per-window rounding on single-channel stretches
+        assert np.abs(propagate(make()).norms() - 1.0).max() <= bound
+
+    def test_peak_memory_is_the_output(self):
+        # rows are written per run into the result, never staged as a (windows, dim, 3) stack
+        s = ideal_schedule(25, "JxB")
+        propagate(s)  # build chain(25) outside the measurement
+        tracemalloc.start()
+        try:
+            r = propagate(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (r.times.nbytes + r.alphas.nbytes + r.transfer.nbytes)
 
     def test_default_steps_scale(self):
         s = sin_power_schedule(5, 6)  # total time 10*pi

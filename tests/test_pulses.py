@@ -402,6 +402,15 @@ class TestStepGrid:
         with pytest.raises(ResourceCapError, match=f"{MAX_STEPS + 1} steps exceed the cap"):
             step_grid(sin_power_schedule(3, 4), MAX_STEPS + 1)
 
+    @pytest.mark.parametrize("n_steps,shown", [
+        (10 ** 15 - 1, "999999999999999"), (10 ** 15, "1e+15"),
+        (127323954473388973, "1.27e+17"), (10 ** 400, "1e+400"),  # past the float range
+    ])
+    def test_step_cap_counts_of_16_digits_are_short(self, n_steps, shown):
+        with pytest.raises(ResourceCapError) as info:
+            step_grid(sin_power_schedule(3, 4), n_steps)
+        assert str(info.value) == f"{shown} steps exceed the cap of {MAX_STEPS}"
+
     def test_includes_discontinuities(self):
         s = square_schedule(3, 8.0)
         grid = step_grid(s, 7)
