@@ -9,10 +9,8 @@ state-vector simulator cross-checks every prediction.
 __version__ = "0.1.0"
 
 from .exceptions import NumericalContractError, ResourceCapError, SpinkickError
-from .pauli import HamiltonianTerm, PauliString, SiteAssignment, chain_terms, \
-    commute_with_term, string_expectation
-from .graph import GeneratorMatrix, OperatorGraph, build_graph, canonical_index, chain, \
-    export_dot, graph_json
+from .pauli import PauliString, SiteAssignment, string_expectation
+from .graph import GeneratorMatrix, OperatorGraph, build_graph, chain, export_dot, graph_json
 from .pulses import IdealKickSchedule, KickSlot, PulseSchedule, SinPowerSchedule, \
     SquareDeltaSchedule, calibrate_amplitude, default_steps, ideal_schedule, \
     schedule_from_json, sin_power_schedule, square_schedule, step_grid, window_amplitudes
@@ -26,9 +24,8 @@ from .oracle import GhzReport, dump_state_json, evolve_state, final_state, ghz_c
 __all__ = [
     "__version__",
     "SpinkickError", "NumericalContractError", "ResourceCapError",
-    "PauliString", "HamiltonianTerm", "SiteAssignment",
-    "chain_terms", "commute_with_term", "string_expectation",
-    "OperatorGraph", "GeneratorMatrix", "build_graph", "canonical_index", "chain",
+    "PauliString", "SiteAssignment", "string_expectation",
+    "OperatorGraph", "GeneratorMatrix", "build_graph", "chain",
     "export_dot", "graph_json",
     "PulseSchedule", "KickSlot", "IdealKickSchedule", "SinPowerSchedule",
     "SquareDeltaSchedule", "ideal_schedule", "calibrate_amplitude",

@@ -1,12 +1,25 @@
-"""Operator graph: commutator closure of the receiver operator X_N.
+"""Operator graph: the ladder that closes X_N under commutation with the chain.
 
-Closing {X_N} under commutation with the chain's XX / YY / Z terms yields at
-most 2N strings, each of the form (X or Y at site k) followed by a Z tail.
-Nodes are kept in a canonical order that puts the X-seeded family at indices
-1..N and the Y-seeded family at N+1..2N, so the end-to-end transfer
-coefficients always live at fixed indices N and 2N.  Edges carry the
-commutator sign; the per-channel generator matrices are antisymmetric and the
-coefficient dynamics are d(alpha)/dt = 2 K(t) alpha.
+Commuting X_N with the chain's XX / YY bonds and Z field, and the results in
+turn, closes on 2N strings: an X or Y at some site k followed by Z on every
+later site.  In canonical order (0-based indices here) they form a ladder of
+two paths with N nodes each.  Index i is family f = i // N (0: X-seeded,
+1: Y-seeded) at position pos = i % N + 1; its leading operator sits at site
+N + 1 - pos, and it is X when pos is odd in family 0 or even in family 1,
+else Y.  So the end-to-end transfer coefficients always live at the
+1-based indices N and 2N.
+
+Edges carry the sign s of [term, node_a] = 2i*s*node_b, stored once with
+a < b:
+
+- field rungs (i, N + i), B, sign (-1)^i;
+- family bonds (f*N + i, f*N + i + 1), Jy with sign -1 when i + f is even,
+  Jx with sign +1 when it is odd.
+
+The per-channel generator matrices are antisymmetric and the coefficient
+dynamics are d(alpha)/dt = 2 K(t) alpha.  ``tests/test_graph.py`` and
+acceptance criterion 3 check every node, edge and sign of this closed form
+against dense commutators of the 2^N x 2^N chain Hamiltonian.
 """
 from __future__ import annotations
 
@@ -16,7 +29,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .pauli import CHANNELS, HamiltonianTerm, PauliString, chain_terms, commute_with_term
+from .pauli import CHANNELS, PauliString
 
 _DOT_COLORS = {"B": "black", "Jx": "green", "Jy": "red"}
 
@@ -40,70 +53,6 @@ class OperatorGraph:
     n_sites: int
     nodes: Tuple[PauliString, ...]
     edges: Tuple[GraphEdge, ...]
-
-
-def canonical_index(p: PauliString) -> int:
-    """1-based canonical position of a closure string.
-
-    Position within a family counts from the receiver end: the string with
-    leading operator at site k sits at family position N+1-k.  The family is
-    X-seeded (indices 1..N) when the leading operator matches the alternating
-    X,Y,X,... pattern and Y-seeded (N+1..2N) otherwise.
-    """
-    n = p.n_sites
-    lead = next(s for s in range(1, n + 1) if p.op_at(s) != "I")
-    op = p.op_at(lead)
-    if op not in ("X", "Y"):
-        raise ValueError(f"{p} is not a closure string")
-    if any(p.op_at(s) != "Z" for s in range(lead + 1, n + 1)):
-        raise ValueError(f"{p} is not a closure string")
-    pos = n + 1 - lead
-    x_family_op = "X" if pos % 2 == 1 else "Y"
-    return pos if op == x_family_op else n + pos
-
-
-def _closure(seed: PauliString, terms: Sequence[HamiltonianTerm]):
-    """Worklist closure; returns visited strings and raw directed edge records."""
-    visited = {seed}
-    work = [seed]
-    raw: Dict[Tuple[PauliString, PauliString, str], int] = {}
-    while work:
-        p = work.pop()
-        for term in terms:
-            r = commute_with_term(p, term)
-            if r is None:
-                continue
-            q, sign = r
-            raw[(p, q, term.channel)] = sign
-            if q not in visited:
-                visited.add(q)
-                work.append(q)
-    return visited, raw
-
-
-def build_graph(n_sites: int, channels: Sequence[str] = CHANNELS) -> OperatorGraph:
-    """Commutator closure of X_N under the requested channels."""
-    if n_sites < 2:
-        raise ValueError("need at least 2 sites")
-    bad = [c for c in channels if c not in CHANNELS]
-    if bad or not channels:
-        raise ValueError(f"invalid channel selection {tuple(channels)}")
-    seed = PauliString.single(n_sites, n_sites, "X")
-    visited, raw = _closure(seed, chain_terms(n_sites, channels))
-    nodes = tuple(sorted(visited, key=canonical_index))
-    index = {p: i for i, p in enumerate(nodes)}
-    edges = {}
-    for (p, q, channel), sign in raw.items():
-        a, b = index[p], index[q]
-        if a < b:
-            edges[(a, b, channel)] = sign
-        else:
-            edges[(b, a, channel)] = -sign  # store once, low index first
-    edge_list = tuple(
-        GraphEdge(a, b, ch, edges[(a, b, ch)])
-        for a, b, ch in sorted(edges, key=lambda k: (k[0], k[1], k[2]))
-    )
-    return OperatorGraph(n_sites=n_sites, nodes=nodes, edges=edge_list)
 
 
 class Matching(NamedTuple):
@@ -137,6 +86,29 @@ class GeneratorMatrix:
         return jx * self.k_jx + jy * self.k_jy + b * self.k_b
 
 
+def _nodes(n_sites: int) -> Tuple[PauliString, ...]:
+    """The 2N ladder strings in canonical order."""
+    if n_sites < 2:
+        raise ValueError("need at least 2 sites")
+    nodes = []
+    for i in range(2 * n_sites):
+        family, p = divmod(i, n_sites)  # p = pos - 1, the number of Z's after the lead
+        lead = "XY"[(family + p) % 2]
+        nodes.append(PauliString(("I",) * (n_sites - 1 - p) + (lead,) + ("Z",) * p))
+    return tuple(nodes)
+
+
+def _matchings(n_sites: int) -> Tuple[Matching, ...]:
+    """(Jx, Jy, B) edges of the ladder, each channel's edges in ascending a."""
+    i = np.arange(n_sites - 1)
+    a = np.concatenate([i, n_sites + i])
+    jx = np.concatenate([i % 2, (i + 1) % 2]) == 1  # bond i of family f is Jx when i + f is odd
+    rung = np.arange(n_sites)
+    return (Matching(a[jx], a[jx] + 1, np.ones(jx.sum(), dtype=int)),
+            Matching(a[~jx], a[~jx] + 1, -np.ones((~jx).sum(), dtype=int)),
+            Matching(rung, rung + n_sites, 1 - 2 * (rung % 2)))
+
+
 @functools.lru_cache(maxsize=32)
 def chain(n_sites: int) -> GeneratorMatrix:
     """K_Jx, K_Jy, K_B of the N-site chain, built once per N and shared, so read-only.
@@ -145,20 +117,45 @@ def chain(n_sites: int) -> GeneratorMatrix:
     alpha_b' += -2*c*s*alpha_a and alpha_a' += +2*c*s*alpha_b, i.e.
     K[b,a] = -s and K[a,b] = +s on that channel.
     """
-    g = build_graph(n_sites)
-    dim = len(g.nodes)
-    matchings, mats = [], []
-    for ch in CHANNELS:
-        rows = [(e.a, e.b, e.sign) for e in g.edges if e.channel == ch]
-        m = Matching(*np.array(rows, dtype=int).reshape(-1, 3).T)
-        mat = np.zeros((dim, dim))
+    nodes = _nodes(n_sites)
+    matchings = _matchings(n_sites)
+    mats = []
+    for m in matchings:
+        mat = np.zeros((2 * n_sites, 2 * n_sites))
         mat[m.a, m.b] = m.sign
         mat[m.b, m.a] = -m.sign
-        matchings.append(m)
         mats.append(mat)
     for mat in (*mats, *(a for m in matchings for a in m)):
         mat.setflags(write=False)
-    return GeneratorMatrix(n_sites, g.nodes, *mats, tuple(matchings))
+    return GeneratorMatrix(n_sites, nodes, *mats, matchings)
+
+
+def build_graph(n_sites: int, channels: Sequence[str] = CHANNELS) -> OperatorGraph:
+    """The part of the ladder that the requested channels connect to X_N, renumbered.
+
+    Kept nodes stay in canonical order and edges are sorted by (a, b, channel).
+    """
+    nodes = _nodes(n_sites)
+    bad = [c for c in channels if c not in CHANNELS]
+    if bad or not channels:
+        raise ValueError(f"invalid channel selection {tuple(channels)}")
+    edges = [(a, b, ch, s) for ch, m in zip(CHANNELS, _matchings(n_sites)) if ch in channels
+             for a, b, s in zip(m.a.tolist(), m.b.tolist(), m.sign.tolist())]
+    neighbours: Dict[int, List[int]] = {}
+    for a, b, _, _ in edges:
+        neighbours.setdefault(a, []).append(b)
+        neighbours.setdefault(b, []).append(a)
+    reached, work = {0}, [0]  # X_N is node 0
+    while work:
+        for q in neighbours.get(work.pop(), ()):
+            if q not in reached:
+                reached.add(q)
+                work.append(q)
+    keep = sorted(reached)
+    index = {old: new for new, old in enumerate(keep)}
+    edge_list = tuple(GraphEdge(index[a], index[b], ch, s)
+                      for a, b, ch, s in sorted(edges) if a in reached)
+    return OperatorGraph(n_sites, tuple(nodes[i] for i in keep), edge_list)
 
 
 def export_dot(g: OperatorGraph) -> str:

@@ -1,10 +1,11 @@
-"""Pauli-string algebra for the open XY chain.
+"""Pauli strings and product-state site assignments for the open XY chain.
 
-Strings are labelled site 1 (sender, leftmost) to site N (receiver).  Only the
-commutators actually generated by the chain Hamiltonian are implemented: the
-two-body XX / YY bond terms and the single-site Z field term.  Phases are never
-stored on strings; commutators return a bare sign and the graph/generator
-modules keep all sign bookkeeping on edges.
+Strings are labelled site 1 (sender, leftmost) to site N (receiver) and
+carry labels only, no phase.  No commutators are computed here: the operator
+graph is written down in closed form (``spinkick.graph``), with every sign
+on its edges.  A site assignment is a product of single-site pure states,
+and ``string_expectation`` reads a string's expectation in one built from
+X/Y/Z eigenstates.
 """
 from __future__ import annotations
 
@@ -15,16 +16,6 @@ import numpy as np
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
 CHANNELS = ("Jx", "Jy", "B")
-
-# single-site products a*b -> (phase, c) with phase in {1, +i, -i}
-_MULT = {
-    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
-    ("X", "I"): (1, "X"), ("Y", "I"): (1, "Y"), ("Z", "I"): (1, "Z"),
-    ("X", "X"): (1, "I"), ("Y", "Y"): (1, "I"), ("Z", "Z"): (1, "I"),
-    ("X", "Y"): (1j, "Z"), ("Y", "X"): (-1j, "Z"),
-    ("Y", "Z"): (1j, "X"), ("Z", "Y"): (-1j, "X"),
-    ("Z", "X"): (1j, "Y"), ("X", "Z"): (-1j, "Y"),
-}
 
 _EIGENVECTORS = {
     ("Z", +1): np.array([1.0, 0.0], dtype=complex),
@@ -53,15 +44,6 @@ class PauliString:
     def from_text(cls, text: str) -> "PauliString":
         return cls(tuple(text.upper()))
 
-    @classmethod
-    def single(cls, n_sites: int, site: int, op: str) -> "PauliString":
-        """String with one non-identity operator at a 1-based site."""
-        if not 1 <= site <= n_sites:
-            raise ValueError(f"site {site} outside 1..{n_sites}")
-        labels = ["I"] * n_sites
-        labels[site - 1] = op
-        return cls(tuple(labels))
-
     @property
     def n_sites(self) -> int:
         return len(self.labels)
@@ -72,72 +54,6 @@ class PauliString:
 
     def __str__(self) -> str:
         return "".join(self.labels)
-
-
-@dataclass(frozen=True)
-class HamiltonianTerm:
-    """One term of the chain Hamiltonian: XX or YY on a bond, or Z on a site.
-
-    ``site`` is the bond index i (coupling sites i, i+1) for Jx/Jy and the
-    site index for B, both 1-based.
-    """
-
-    channel: str
-    site: int
-    n_sites: int
-
-    def __post_init__(self):
-        if self.channel not in CHANNELS:
-            raise ValueError(f"unknown channel {self.channel!r}")
-        hi = self.n_sites - 1 if self.channel in ("Jx", "Jy") else self.n_sites
-        if not 1 <= self.site <= hi:
-            raise ValueError(f"{self.channel} site {self.site} outside 1..{hi}")
-
-    def content(self) -> Tuple[Tuple[int, str], ...]:
-        """(site, op) pairs of the term's Pauli content."""
-        if self.channel == "Jx":
-            return ((self.site, "X"), (self.site + 1, "X"))
-        if self.channel == "Jy":
-            return ((self.site, "Y"), (self.site + 1, "Y"))
-        return ((self.site, "Z"),)
-
-
-def chain_terms(n_sites: int, channels: Sequence[str] = CHANNELS):
-    """All Hamiltonian terms of the requested channels for an N-site chain."""
-    terms = []
-    for ch in channels:
-        if ch in ("Jx", "Jy"):
-            terms.extend(HamiltonianTerm(ch, i, n_sites) for i in range(1, n_sites))
-        else:
-            terms.extend(HamiltonianTerm(ch, i, n_sites) for i in range(1, n_sites + 1))
-    return terms
-
-
-def commute_with_term(p: PauliString, term: HamiltonianTerm) -> Optional[Tuple[PauliString, int]]:
-    """Commutator of a Hamiltonian term's Pauli content T with a string p.
-
-    Returns (q, sign) such that [T, p] = 2i * sign * q, or None when the two
-    commute.  The magnitude is always exactly 2 because T and p either commute
-    or anticommute as whole operators.
-    """
-    if term.n_sites != p.n_sites:
-        raise ValueError(f"term is for N={term.n_sites}, string has N={p.n_sites}")
-    content = term.content()
-    n_anti = sum(
-        1 for site, op in content
-        if p.op_at(site) != "I" and p.op_at(site) != op
-    )
-    if n_anti % 2 == 0:
-        return None
-    # [T,p] = Tp - pT = 2 Tp when T, p anticommute; site-wise product below
-    phase = 1 + 0j
-    labels = list(p.labels)
-    for site, op in content:
-        ph, c = _MULT[(op, p.op_at(site))]
-        phase *= ph
-        labels[site - 1] = c
-    sign = int((phase / 1j).real)
-    return PauliString(tuple(labels)), sign
 
 
 class SiteAssignment:

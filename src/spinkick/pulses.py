@@ -357,9 +357,14 @@ def default_steps(schedule: PulseSchedule, steps_per_pi: int = DEFAULT_STEPS_PER
     """Uniform step count for a schedule: steps_per_pi per pi of total time.
 
     Float noise is dropped before the ceiling: 400 * (2*17*pi) / pi is
-    13600.000000000002, which must give 13600 steps, not 13601.
+    13600.000000000002, which must give 13600 steps, not 13601.  A count past
+    the float range is refused here as a step-cap error.
     """
-    return max(1, math.ceil(steps_per_pi * schedule.total_time / math.pi * (1 - 1e-12)))
+    try:
+        return max(1, math.ceil(steps_per_pi * schedule.total_time / math.pi * (1 - 1e-12)))
+    except OverflowError:
+        raise ResourceCapError("a step count past the float range exceeds the cap of "
+                               f"{MAX_STEPS}") from None
 
 
 def step_grid(schedule: PulseSchedule, n_steps: int) -> np.ndarray:

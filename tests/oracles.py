@@ -2,7 +2,9 @@
 
 Everything here works on explicit 2^N x 2^N matrices with scipy's expm, fully
 independent of the bitmask state-vector code and of the operator-graph
-propagation.  Slow on purpose; only used for small N.
+propagation; ``dense_closure`` derives the operator graph from dense
+commutators, independent of its closed form.  Slow on purpose; only used for
+small N.
 """
 import itertools
 
@@ -38,13 +40,6 @@ def bond_matrix(n_sites, bond, op):
     return string_matrix(labels)
 
 
-def term_matrix(term):
-    labels = ["I"] * term.n_sites
-    for site, op in term.content():
-        labels[site - 1] = op
-    return string_matrix(labels)
-
-
 def chain_hamiltonian(n_sites, jx, jy, b):
     dim = 2 ** n_sites
     h = np.zeros((dim, dim), dtype=complex)
@@ -55,8 +50,47 @@ def chain_hamiltonian(n_sites, jx, jy, b):
     return h
 
 
+def channel_hamiltonian(n_sites, channel):
+    """The chain Hamiltonian with one channel ("Jx", "Jy" or "B") at amplitude 1."""
+    return chain_hamiltonian(n_sites, *(float(c == channel) for c in ("Jx", "Jy", "B")))
+
+
 def commutator(a, b):
     return a @ b - b @ a
+
+
+def dense_closure(n_sites, channels):
+    """Close X_N under dense commutators with each channel's Hamiltonian.
+
+    A worklist from X_N: every commutator [H_c, p] of a reached string p is
+    expanded in all 4^N strings by its traces, and must be 2i*sign times
+    exactly one string q.  Returns the reached label tuples and a dict
+    {(p, q, channel): sign}, with both directions of every edge.
+    """
+    dim = 2 ** n_sites
+    labels = list(all_label_tuples(n_sites))
+    basis = np.array([string_matrix(q) for q in labels])
+    hamiltonians = {c: channel_hamiltonian(n_sites, c) for c in channels}
+    seed = ("I",) * (n_sites - 1) + ("X",)
+    reached, work, edges = {seed}, [seed], {}
+    while work:
+        p = work.pop()
+        dense_p = string_matrix(p)
+        for channel, h in hamiltonians.items():
+            comm = commutator(h, dense_p)
+            if not comm.any():
+                continue
+            traces = np.einsum("kij,ji->k", basis, comm) / dim
+            hits = np.flatnonzero(traces)
+            assert len(hits) == 1 and traces[hits[0]] in (2j, -2j), (p, channel, traces[hits])
+            hit = hits[0]
+            q, sign = labels[hit], int((traces[hit] / 2j).real)
+            np.testing.assert_array_equal(comm, 2j * sign * basis[hit])
+            edges[(p, q, channel)] = sign
+            if q not in reached:
+                reached.add(q)
+                work.append(q)
+    return reached, edges
 
 
 def all_label_tuples(n_sites):

@@ -61,6 +61,27 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: 1.27e+302 steps exceed the cap of 4194304\n"
 
+    # 400 * total_time / pi, or a 400-digit --steps-per-pi, is past the float range:
+    # a step-cap error before any grid exists, not an OverflowError
+    @pytest.mark.parametrize("command", [["simulate"], ["oracle", "compare"],
+                                         ["oracle", "fidelity"]])
+    @pytest.mark.parametrize("late_slot", [True, False])
+    def test_step_count_past_the_float_range_exits_4(self, capsys, tmp_path, monkeypatch,
+                                                     command, late_slot):
+        for module in (spinkick.flux, spinkick.oracle):
+            monkeypatch.setattr(module, "step_grid", lambda *a: pytest.fail("built a grid"))
+        if late_slot:
+            path = tmp_path / "late.json"
+            path.write_text(json.dumps({"variant": "ideal_kicks", "n_sites": 3, "slots": [
+                {"channel": "Jx", "start": 1e306, "duration": 1, "amplitude": 1}]}))
+            argv = ["--schedule", str(path)]
+        else:
+            argv = ["--n-sites", "3", "--sin-m", "6", "--steps-per-pi", "9" * 400]
+        rc, out, err = run(capsys, *command, *argv)
+        assert rc == 4
+        assert out == ""
+        assert err == "error: a step count past the float range exceeds the cap of 4194304\n"
+
     @pytest.mark.parametrize("amplitude,norm", [(1e30, "1.5625e+28"), (1e308, "1.5625e+306")])
     def test_huge_kick_exits_3_with_its_window_norm(self, capsys, tmp_path, amplitude, norm):
         path = tmp_path / "kick.json"
@@ -344,6 +365,17 @@ steps_per_pi = 60
         assert rows[1].startswith("3,nan")
         assert "# row 3 failed: ValueError" in out
         assert "even" in err
+
+    def test_step_count_past_the_float_range_is_a_failed_row(self, capsys, tmp_path):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("family = ideal_kicks\nsweep = n_sites\nvalues = 2,3\n"
+                        "fixed.scheme = JxJy\nfixed.kick_duration = 1e306\n")
+        rc, out, err = run(capsys, "sweep", str(spec))
+        assert rc == 4
+        rows = [line for line in out.splitlines() if not line.startswith("#")]
+        assert rows[1:] == ["2,nan,nan,nan,nan", "3,nan,nan,nan,nan"]
+        assert "# row 3 failed: ResourceCapError: a step count past the float range" in out
+        assert err == "error: a step count past the float range exceeds the cap of 4194304\n"
 
     def test_missing_family_parameter_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

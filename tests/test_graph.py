@@ -3,8 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from spinkick import (PauliString, build_graph, canonical_index, chain, chain_terms,
-                      export_dot, graph_json)
+from spinkick import build_graph, chain, export_dot, graph_json
 
 import oracles
 
@@ -30,12 +29,6 @@ class TestCanonicalOrder:
             g = build_graph(n)
             assert str(g.nodes[n - 1]) == ("X" if n % 2 == 1 else "Y") + "Z" * (n - 1)
             assert str(g.nodes[2 * n - 1]) == ("Y" if n % 2 == 1 else "X") + "Z" * (n - 1)
-
-    def test_canonical_index_rejects_non_closure_strings(self):
-        with pytest.raises(ValueError):
-            canonical_index(PauliString.from_text("IZX"))
-        with pytest.raises(ValueError):
-            canonical_index(PauliString.from_text("XYZ"))
 
 
 class TestClosure:
@@ -72,6 +65,22 @@ class TestClosure:
         # the field only rotates X_N into Y_N
         g = build_graph(5, ("B",))
         assert sorted(str(p) for p in g.nodes) == ["IIIIX", "IIIIY"]
+
+    @pytest.mark.parametrize("n_sites", [2, 3, 4, 5])
+    def test_every_channel_subset_against_dense_closure(self, n_sites):
+        """Nodes, edges and signs of each channel subset's graph match the
+        closure of X_N under dense commutators with those channels."""
+        for r in (1, 2, 3):
+            for channels in itertools.combinations(("Jx", "Jy", "B"), r):
+                g = build_graph(n_sites, channels)
+                reached, dense_edges = oracles.dense_closure(n_sites, channels)
+                labels = [p.labels for p in g.nodes]
+                assert set(labels) == reached and len(labels) == len(reached), channels
+                want = {}
+                for e in g.edges:
+                    want[(labels[e.a], labels[e.b], e.channel)] = e.sign
+                    want[(labels[e.b], labels[e.a], e.channel)] = -e.sign
+                assert want == dense_edges, channels
 
     def test_jx_jy_subgraphs_are_disjoint_pairings(self):
         # within the full graph each node has at most one Jx and one Jy partner
@@ -141,7 +150,7 @@ class TestEdgeSigns:
         got = k.combined(0.5, -2.0, 3.0)
         np.testing.assert_allclose(got, 0.5 * k.k_jx - 2.0 * k.k_jy + 3.0 * k.k_b)
 
-    @pytest.mark.parametrize("n_sites", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n_sites", range(2, 8))
     def test_every_edge_and_no_missing_edge_against_dense(self, n_sites):
         """The stored edges must reproduce the dense commutator of every
         channel term with every node, including the absence of an edge."""
@@ -151,12 +160,10 @@ class TestEdgeSigns:
         for e in g.edges:
             edge_lookup[(e.a, e.channel)] = (e.b, e.sign)
             edge_lookup[(e.b, e.channel)] = (e.a, -e.sign)
-        by_channel = {"Jx": [], "Jy": [], "B": []}
-        for term in chain_terms(n_sites):
-            by_channel[term.channel].append(oracles.term_matrix(term))
+        by_channel = {c: oracles.channel_hamiltonian(n_sites, c) for c in ("Jx", "Jy", "B")}
         for a, dense_a in enumerate(dense_nodes):
-            for channel, term_mats in by_channel.items():
-                dense = sum(oracles.commutator(t, dense_a) for t in term_mats)
+            for channel, h in by_channel.items():
+                dense = oracles.commutator(h, dense_a)
                 if (a, channel) in edge_lookup:
                     b, sign = edge_lookup[(a, channel)]
                     expected = 2j * sign * dense_nodes[b]

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from spinkick import (HamiltonianTerm, PauliString, SiteAssignment, chain_terms,
-                      commute_with_term, string_expectation)
+from spinkick import PauliString, SiteAssignment, string_expectation
 
 import oracles
 
@@ -14,12 +13,6 @@ class TestPauliString:
         assert str(p) == "IXYZ"
         assert p.n_sites == 4
 
-    def test_single(self):
-        p = PauliString.single(5, 5, "X")
-        assert str(p) == "IIIIX"
-        assert p.op_at(5) == "X"
-        assert p.op_at(1) == "I"
-
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             PauliString.from_text("IXQ")
@@ -27,97 +20,6 @@ class TestPauliString:
     def test_rejects_single_site(self):
         with pytest.raises(ValueError):
             PauliString(("X",))
-
-    def test_single_site_range(self):
-        with pytest.raises(ValueError):
-            PauliString.single(3, 4, "X")
-
-
-class TestChainTerms:
-    def test_counts(self):
-        terms = chain_terms(5)
-        by_channel = {}
-        for t in terms:
-            by_channel.setdefault(t.channel, []).append(t)
-        assert len(by_channel["Jx"]) == 4
-        assert len(by_channel["Jy"]) == 4
-        assert len(by_channel["B"]) == 5
-
-    def test_content(self):
-        assert HamiltonianTerm("Jx", 2, 5).content() == ((2, "X"), (3, "X"))
-        assert HamiltonianTerm("Jy", 1, 3).content() == ((1, "Y"), (2, "Y"))
-        assert HamiltonianTerm("B", 4, 5).content() == ((4, "Z"),)
-
-    def test_bond_range(self):
-        with pytest.raises(ValueError):
-            HamiltonianTerm("Jx", 5, 5)
-        with pytest.raises(ValueError):
-            HamiltonianTerm("B", 6, 5)
-        with pytest.raises(ValueError):
-            HamiltonianTerm("Jz", 1, 5)
-
-
-class TestCommuteWithTerm:
-    def test_field_on_receiver_x(self):
-        # [Z_5, X_5] = 2i Y_5
-        p = PauliString.from_text("IIIIX")
-        q, sign = commute_with_term(p, HamiltonianTerm("B", 5, 5))
-        assert str(q) == "IIIIY"
-        assert sign == 1
-
-    def test_yy_bond_on_receiver_x(self):
-        # [Y_4 Y_5, X_5] = -2i Y_4 Z_5
-        p = PauliString.from_text("IIIIX")
-        q, sign = commute_with_term(p, HamiltonianTerm("Jy", 4, 5))
-        assert str(q) == "IIIYZ"
-        assert sign == -1
-
-    def test_xx_bond_commutes_with_receiver_x(self):
-        p = PauliString.from_text("IIIIX")
-        assert commute_with_term(p, HamiltonianTerm("Jx", 4, 5)) is None
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            commute_with_term(PauliString.from_text("IX"), HamiltonianTerm("B", 1, 3))
-
-    @pytest.mark.parametrize("n_sites", [2, 3])
-    def test_against_dense_commutators(self, n_sites):
-        """[T, P] = 2i * sign * Q must hold as a dense matrix identity for
-        every Pauli string and every chain term; None means zero commutator."""
-        terms = chain_terms(n_sites)
-        for labels in oracles.all_label_tuples(n_sites):
-            p = PauliString(labels)
-            dense_p = oracles.string_matrix(labels)
-            for term in terms:
-                dense = oracles.commutator(oracles.term_matrix(term), dense_p)
-                got = commute_with_term(p, term)
-                if got is None:
-                    assert np.max(np.abs(dense)) == 0.0
-                else:
-                    q, sign = got
-                    expected = 2j * sign * oracles.string_matrix(q.labels)
-                    np.testing.assert_allclose(dense, expected, atol=0)
-
-    def test_double_commute_flips_sign(self):
-        # applying the same term twice returns the original string with the
-        # opposite sign, which is what makes the generators antisymmetric
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            n = int(rng.integers(2, 6))
-            labels = tuple(rng.choice(list("IXYZ"), size=n))
-            try:
-                p = PauliString(labels)
-            except ValueError:
-                continue
-            terms = chain_terms(n)
-            term = terms[int(rng.integers(0, len(terms)))]
-            r = commute_with_term(p, term)
-            if r is None:
-                continue
-            q, sign = r
-            back, back_sign = commute_with_term(q, term)
-            assert back == p
-            assert back_sign == -sign
 
 
 class TestSiteAssignment:

@@ -402,6 +402,16 @@ class TestStepGrid:
         with pytest.raises(ResourceCapError, match=f"{MAX_STEPS + 1} steps exceed the cap"):
             step_grid(sin_power_schedule(3, 4), MAX_STEPS + 1)
 
+    @pytest.mark.parametrize("schedule,steps_per_pi", [
+        (IdealKickSchedule(3, [KickSlot("Jx", 1e306, 1.0, 1.0)]), 400),  # float * 400 is inf
+        (sin_power_schedule(3, 6), 10 ** 400),  # int too large to convert to float
+    ])
+    def test_default_steps_past_the_float_range_are_a_step_cap_error(self, schedule,
+                                                                      steps_per_pi):
+        with pytest.raises(ResourceCapError) as info:
+            default_steps(schedule, steps_per_pi)
+        assert str(info.value) == f"a step count past the float range exceeds the cap of {MAX_STEPS}"
+
     @pytest.mark.parametrize("n_steps,shown", [
         (10 ** 15 - 1, "999999999999999"), (10 ** 15, "1e+15"),
         (127323954473388973, "1.27e+17"), (10 ** 400, "1e+400"),  # past the float range
