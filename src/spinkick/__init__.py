@@ -9,7 +9,7 @@ state-vector simulator cross-checks every prediction.
 __version__ = "0.1.0"
 
 from .exceptions import NumericalContractError, ResourceCapError, SpinkickError
-from .pauli import PauliString, SiteAssignment, string_expectation
+from .pauli import SiteAssignment
 from .graph import GeneratorMatrix, OperatorGraph, build_graph, chain, export_dot, graph_json
 from .pulses import IdealKickSchedule, KickSlot, PulseSchedule, SinPowerSchedule, \
     SquareDeltaSchedule, calibrate_amplitude, default_steps, ideal_schedule, \
@@ -24,7 +24,7 @@ from .oracle import GhzReport, dump_state_json, evolve_state, final_state, ghz_c
 __all__ = [
     "__version__",
     "SpinkickError", "NumericalContractError", "ResourceCapError",
-    "PauliString", "SiteAssignment", "string_expectation",
+    "SiteAssignment",
     "OperatorGraph", "GeneratorMatrix", "build_graph", "chain",
     "export_dot", "graph_json",
     "PulseSchedule", "KickSlot", "IdealKickSchedule", "SinPowerSchedule",

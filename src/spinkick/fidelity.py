@@ -94,15 +94,14 @@ def run_sweep(spec: SweepSpec) -> List[SweepRow]:
                   for k, v in {**spec.fixed, spec.swept_parameter: value}.items()}
         try:
             schedule = factory(**params)
-            n = schedule.n_sites
             result = propagate(schedule, default_steps(schedule, spec.steps_per_pi))
-            t_star, alpha = max_alpha(result, n)
+            peak = summary(result)
             rows.append(SweepRow(
                 param_value=float(value),
-                max_alpha=alpha,
-                t_star=t_star,
-                fidelity_max=average_fidelity(alpha),
-                fidelity_at_tau=average_fidelity(result.alphas[-1, n - 1]),
+                max_alpha=peak["max_alpha_N"],
+                t_star=peak["t_star"],
+                fidelity_max=peak["fidelity"],
+                fidelity_at_tau=average_fidelity(result.alphas[-1, schedule.n_sites - 1]),
             ))
         except (SpinkickError, ValueError) as exc:  # keep sweeping, report the row as failed
             rows.append(SweepRow(

@@ -23,13 +23,14 @@ import numpy as np
 
 from .exceptions import NumericalContractError, ResourceCapError
 from .graph import Matching, chain
-from .pauli import SiteAssignment, string_expectation
+from .pauli import SiteAssignment
 from .pulses import PulseSchedule, default_steps, step_grid, window_amplitudes
 
 _MAX_SCALE_DEPTH = 60
 _MAX_NORM = 0.5 * 2.0 ** _MAX_SCALE_DEPTH
-# floats in the (times, dim) coefficient table: 512 MiB, so N = 200 on its default grid
-# (160,001 x 400 = 64.0 M) still runs and a larger table is refused before allocation
+# floats propagate holds at once, the (times, dim) coefficient table plus the (dim, dim)
+# running product: 512 MiB, so N = 200 on its default grid ((160,001 + 400) x 400 =
+# 64.16 M) still runs and anything larger is refused before allocation
 MAX_TABLE_FLOATS = 2 ** 26
 _THETA = np.array([(2.0 ** -53 * math.factorial(m + 1)) ** (1.0 / (m + 1)) for m in range(18)])
 
@@ -101,7 +102,7 @@ class FluxResult:
     alphas: np.ndarray         # shape (T, dim), row per stored time
     transfer: np.ndarray       # shape (T, 2, 2), site-1 X, Y rows of the X_N, Y_N columns
     seed: int                  # 1-based canonical node index
-    nodes: Tuple               # canonical PauliString labels
+    nodes: Tuple[str, ...]     # canonical node strings, site 1 first
     n_sites: int
 
     def alpha_series(self, node: int) -> np.ndarray:
@@ -138,8 +139,9 @@ def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int 
     period p is P M^p Q_j e_seed, P being the product of the windows before
     the first period.  Runs end at the head, period and tail boundaries.
 
-    The step cap (step_grid) and the table cap are checked before the
-    generator is built, so a refused run never builds the operator graph.
+    The step cap (step_grid) and the table cap, which counts the coefficient
+    table and the running product, are checked before the generator is
+    built, so a refused run never builds the operator graph.
     """
     dim = 2 * schedule.n_sites  # the closure of X_N has 2N strings
     if not 1 <= seed <= dim:
@@ -147,12 +149,12 @@ def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int 
     if n_steps is None:
         n_steps = default_steps(schedule)
     grid = step_grid(schedule, n_steps)
-    if len(grid) * dim > MAX_TABLE_FLOATS:
-        raise ResourceCapError(f"{len(grid)} times x {dim} coefficients exceed the cap of "
-                               f"{MAX_TABLE_FLOATS} floats in the coefficient table")
+    if (len(grid) + dim) * dim > MAX_TABLE_FLOATS:
+        raise ResourceCapError(f"{len(grid)} times x {dim} coefficients and the {dim} x {dim} "
+                               f"product exceed the cap of {MAX_TABLE_FLOATS} floats")
     k = chain(schedule.n_sites)
     # site-1 rows found by operator: their canonical indices swap with the parity of N
-    rows = [next(i for i, p in enumerate(k.nodes) if p.op_at(1) == op) for op in "XY"]
+    rows = [next(i for i, p in enumerate(k.nodes) if p[0] == op) for op in "XY"]
     cols = [seed - 1, 0, k.n_sites]  # the seed's column, then the X_N and Y_N seeds
     alphas = np.zeros((len(grid), dim))
     alphas[0, seed - 1] = 1.0
@@ -171,8 +173,8 @@ def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int 
         starts = np.flatnonzero((c != np.r_[-2, c[:-1]]) | (c < 0)) + lo  # mixed: a run by itself
         for i, j in zip(starts, np.r_[starts[1:], hi]):
             if channel[i] < 0:
-                scale = 2.0 * (grid[i + 1] - grid[i])
-                product = product @ expm_series(scale * k.combined(*amps[i]))
+                scale = 2.0 * (grid[i + 1] - grid[i])  # folded into the amplitudes: signs are +-1
+                product = product @ expm_series(k.combined(*(scale * amps[i])))
                 put(out, i + shift, product[:, cols])
                 continue
             angles = 2.0 * (grid[i + 1:j + 1] - grid[i:j]) * amps[i:j, channel[i]]
@@ -268,24 +270,19 @@ def max_alpha(result: FluxResult, node: int) -> Tuple[float, float]:
 def information_flux(result: FluxResult, rest_state: SiteAssignment) -> Dict[Tuple[str, str], np.ndarray]:
     """Flux coefficients I^{OO'}(t) linking receiver operator O to sender O'.
 
-    rest_state assigns sites 2..N.  Each node with a leading operator on
-    site 1 contributes its coefficient history weighted by the expectation of
-    its site-2..N Z tail in the rest state.
+    rest_state assigns sites 2..N in X/Y/Z eigenstates.  Only nodes N and 2N
+    lead at site 1, and both carry Z on every later site, so each contributes
+    its coefficient history weighted by the rest state's Z parity: the
+    product of its signs, or 0 when any rest site is an X or Y eigenstate.
     """
     n = result.n_sites
     if rest_state.n_sites != n - 1:
         raise ValueError(f"rest_state must assign sites 2..{n} ({n - 1} entries)")
-    seed_node = result.nodes[result.seed - 1]
-    seed_op = next(op for op in seed_node.labels if op != "I")
-    flux: Dict[Tuple[str, str], np.ndarray] = {}
-    for j, node in enumerate(result.nodes):
-        lead = node.op_at(1)
-        if lead == "I":
-            continue
-        # site 1 in the +1 eigenstate of its own operator leaves the tail's weight
-        weight = string_expectation(node, SiteAssignment([(lead, 1)] + rest_state.entries))
-        flux[(seed_op, lead)] = weight * result.alphas[:, j]
-    return flux
+    if not rest_state.is_eigenbasis():
+        raise ValueError("rest_state needs eigenstate entries, not explicit vectors")
+    parity = math.prod(sign if basis == "Z" else 0 for basis, sign in rest_state.entries)
+    seed_op = result.nodes[result.seed - 1].lstrip("I")[0]
+    return {(seed_op, result.nodes[j][0]): parity * result.alphas[:, j] for j in (n - 1, 2 * n - 1)}
 
 
 def series_csv(result: FluxResult) -> str:

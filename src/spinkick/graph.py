@@ -9,6 +9,8 @@ N + 1 - pos, and it is X when pos is odd in family 0 or even in family 1,
 else Y.  So the end-to-end transfer coefficients always live at the
 1-based indices N and 2N.
 
+Nodes are labelled by their strings, site 1 first, e.g. "IIXZ".
+
 Edges carry the sign s of [term, node_a] = 2i*s*node_b, stored once with
 a < b:
 
@@ -16,7 +18,8 @@ a < b:
 - family bonds (f*N + i, f*N + i + 1), Jy with sign -1 when i + f is even,
   Jx with sign +1 when it is odd.
 
-The per-channel generator matrices are antisymmetric and the coefficient
+Within one channel no two edges share a node, so each channel's generator K_c
+(K[a, b] = s, K[b, a] = -s) is a matching and is kept as one; the coefficient
 dynamics are d(alpha)/dt = 2 K(t) alpha.  ``tests/test_graph.py`` and
 acceptance criterion 3 check every node, edge and sign of this closed form
 against dense commutators of the 2^N x 2^N chain Hamiltonian.
@@ -29,7 +32,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .pauli import CHANNELS, PauliString
+from .pauli import CHANNELS
 
 _DOT_COLORS = {"B": "black", "Jx": "green", "Jy": "red"}
 
@@ -39,7 +42,7 @@ class GraphEdge:
     """Edge a -> b with the commutator sign of [term, node_a] = 2i*sign*node_b.
 
     Indices are 0-based into the node list; the reverse direction carries the
-    opposite sign and is materialized only in the generator matrices.
+    opposite sign and is not stored.
     """
 
     a: int
@@ -51,7 +54,7 @@ class GraphEdge:
 @dataclass(frozen=True)
 class OperatorGraph:
     n_sites: int
-    nodes: Tuple[PauliString, ...]
+    nodes: Tuple[str, ...]
     edges: Tuple[GraphEdge, ...]
 
 
@@ -69,32 +72,41 @@ class Matching(NamedTuple):
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Per-channel antisymmetric generators on the canonical node basis."""
+    """The (Jx, Jy, B) generators of the chain as matchings on the canonical node basis.
+
+    scatter holds, per channel, the flat indices of K_c in a dim x dim matrix
+    (both edge directions) and the matching entries there.
+    """
 
     n_sites: int
-    nodes: Tuple[PauliString, ...]
-    k_jx: np.ndarray
-    k_jy: np.ndarray
-    k_b: np.ndarray
-    matchings: Tuple[Matching, ...]  # edge arrays of (Jx, Jy, B), the generators' source
+    nodes: Tuple[str, ...]
+    matchings: Tuple[Matching, ...]  # edge arrays of (Jx, Jy, B)
+    scatter: Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
     @property
     def dim(self) -> int:
         return len(self.nodes)
 
     def combined(self, jx: float, jy: float, b: float) -> np.ndarray:
-        return jx * self.k_jx + jy * self.k_jy + b * self.k_b
+        """The dense generator jx*K_Jx + jy*K_Jy + b*K_B in a fresh matrix.
+
+        A channel at amplitude 0 writes nothing, so no entry is -0.0.
+        """
+        out = np.zeros(self.dim * self.dim)
+        for amp, (index, sign) in zip((jx, jy, b), self.scatter):
+            if amp != 0.0:
+                out[index] = amp * sign
+        return out.reshape(self.dim, self.dim)
 
 
-def _nodes(n_sites: int) -> Tuple[PauliString, ...]:
+def _nodes(n_sites: int) -> Tuple[str, ...]:
     """The 2N ladder strings in canonical order."""
     if n_sites < 2:
         raise ValueError("need at least 2 sites")
     nodes = []
     for i in range(2 * n_sites):
         family, p = divmod(i, n_sites)  # p = pos - 1, the number of Z's after the lead
-        lead = "XY"[(family + p) % 2]
-        nodes.append(PauliString(("I",) * (n_sites - 1 - p) + (lead,) + ("Z",) * p))
+        nodes.append("I" * (n_sites - 1 - p) + "XY"[(family + p) % 2] + "Z" * p)
     return tuple(nodes)
 
 
@@ -111,23 +123,19 @@ def _matchings(n_sites: int) -> Tuple[Matching, ...]:
 
 @functools.lru_cache(maxsize=32)
 def chain(n_sites: int) -> GeneratorMatrix:
-    """K_Jx, K_Jy, K_B of the N-site chain, built once per N and shared, so read-only.
+    """The generators of the N-site chain, built once per N and shared, so read-only.
 
     For an edge a -> b with sign s the coefficient flow is
     alpha_b' += -2*c*s*alpha_a and alpha_a' += +2*c*s*alpha_b, i.e.
     K[b,a] = -s and K[a,b] = +s on that channel.
     """
-    nodes = _nodes(n_sites)
     matchings = _matchings(n_sites)
-    mats = []
-    for m in matchings:
-        mat = np.zeros((2 * n_sites, 2 * n_sites))
-        mat[m.a, m.b] = m.sign
-        mat[m.b, m.a] = -m.sign
-        mats.append(mat)
-    for mat in (*mats, *(a for m in matchings for a in m)):
-        mat.setflags(write=False)
-    return GeneratorMatrix(n_sites, nodes, *mats, matchings)
+    dim = 2 * n_sites
+    scatter = tuple((np.concatenate([m.a * dim + m.b, m.b * dim + m.a]),
+                     np.concatenate([m.sign, -m.sign]).astype(float)) for m in matchings)
+    for array in (*(a for m in matchings for a in m), *(a for pair in scatter for a in pair)):
+        array.setflags(write=False)
+    return GeneratorMatrix(n_sites, _nodes(n_sites), matchings, scatter)
 
 
 def build_graph(n_sites: int, channels: Sequence[str] = CHANNELS) -> OperatorGraph:
@@ -183,7 +191,7 @@ def graph_json(g: OperatorGraph) -> dict:
     return {
         "n_sites": g.n_sites,
         "nodes": [
-            {"index": i + 1, "string": str(p), "edges": adjacency[i]}
+            {"index": i + 1, "string": p, "edges": adjacency[i]}
             for i, p in enumerate(g.nodes)
         ],
     }

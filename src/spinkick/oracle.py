@@ -30,7 +30,7 @@ from .exceptions import NumericalContractError, ResourceCapError
 from .pauli import SiteAssignment
 from .pulses import PulseSchedule, default_steps, ideal_schedule, step_grid, window_amplitudes
 
-RESOURCE_CAP_SITES = 14  # 2^14 amplitudes by default; override explicitly
+RESOURCE_CAP_SITES = 14  # 2^14 amplitudes
 
 _NORM_TOL = 1e-10
 _MAX_DEPTH = 20  # at most 2^20 Taylor substeps per window
@@ -40,16 +40,14 @@ _MAX_BOUND = 0.4 * 2 ** _MAX_DEPTH  # the largest window bound the Taylor path s
 _GATHER_MAX_SITES = 10  # Taylor windows apply H by one gather up to here, bond by bond above
 
 
-def _check_cap(n_sites: int, allow_large: bool):
-    if n_sites > RESOURCE_CAP_SITES and not allow_large:
-        raise ResourceCapError(
-            f"N={n_sites} exceeds the default cap of {RESOURCE_CAP_SITES} sites; "
-            "pass allow_large=True to override")
+def _check_cap(n_sites: int):
+    if n_sites > RESOURCE_CAP_SITES:
+        raise ResourceCapError(f"N={n_sites} exceeds the cap of {RESOURCE_CAP_SITES} sites")
 
 
-def product_state(assignment: SiteAssignment, allow_large: bool = False) -> np.ndarray:
+def product_state(assignment: SiteAssignment) -> np.ndarray:
     """State vector of the product of per-site states, site 1 leftmost."""
-    _check_cap(assignment.n_sites, allow_large)
+    _check_cap(assignment.n_sites)
     psi = np.array([1.0 + 0.0j])
     for site in range(1, assignment.n_sites + 1):
         psi = np.kron(psi, assignment.site_vector(site))
@@ -191,7 +189,7 @@ class _ChainAction:
 
 
 def _windows(psi0: np.ndarray, schedule: PulseSchedule, n_steps: Optional[int],
-             allow_large: bool, read_time: float) -> Tuple[np.ndarray, np.ndarray]:
+             read_time: float) -> Tuple[np.ndarray, np.ndarray]:
     """The step grid up to read_time and its (W, 3) amplitude table.
 
     Every window's bound is checked in one pass, so a window past the substep
@@ -200,7 +198,7 @@ def _windows(psi0: np.ndarray, schedule: PulseSchedule, n_steps: Optional[int],
     n = schedule.n_sites
     if len(psi0) != (1 << n):
         raise ValueError(f"state has {len(psi0)} amplitudes, schedule expects {1 << n}")
-    _check_cap(n, allow_large)
+    _check_cap(n)
     grid = step_grid(schedule, default_steps(schedule) if n_steps is None else n_steps)
     grid = np.append(grid[grid < read_time], read_time)
     amplitudes = window_amplitudes(schedule, grid)
@@ -252,22 +250,20 @@ def _step_windows(psi0: np.ndarray, grid: np.ndarray,
 
 
 def evolve_state(psi0: np.ndarray, schedule: PulseSchedule,
-                 n_steps: Optional[int] = None,
-                 allow_large: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+                 n_steps: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Evolve under the schedule; returns (times, states) with one row per time.
 
     Step boundaries include all schedule discontinuities and each window uses
     the window-averaged amplitudes, mirroring the coefficient propagation.
     """
-    windows = _windows(psi0, schedule, n_steps, allow_large, schedule.total_time)
+    windows = _windows(psi0, schedule, n_steps, schedule.total_time)
     times, states = zip(*_step_windows(psi0, *windows))
     return np.array(times), np.stack(states)
 
 
 def final_state(psi0: np.ndarray, schedule: PulseSchedule,
                 read_time: Optional[float] = None,
-                n_steps: Optional[int] = None,
-                allow_large: bool = False) -> np.ndarray:
+                n_steps: Optional[int] = None) -> np.ndarray:
     """State at read_time (default: end of schedule) without storing the series.
 
     Each run of equal single-channel windows is stepped as one kick (_merge_runs).
@@ -276,7 +272,7 @@ def final_state(psi0: np.ndarray, schedule: PulseSchedule,
         read_time = schedule.total_time
     if not 0.0 <= read_time <= schedule.total_time:
         raise ValueError(f"read_time {read_time} outside [0, {schedule.total_time}]")
-    windows = _windows(psi0, schedule, n_steps, allow_large, read_time)
+    windows = _windows(psi0, schedule, n_steps, read_time)
     for _, psi in _step_windows(psi0, *_merge_runs(schedule.n_sites, *windows)):
         pass
     return psi
@@ -308,15 +304,14 @@ def pauli_expectation(psi: np.ndarray, label: str) -> float:
 
 
 def heisenberg_expectation(op_site_n: str, psi0: np.ndarray, schedule: PulseSchedule,
-                           n_steps: Optional[int] = None,
-                           allow_large: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+                           n_steps: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
     """<O_N(t)> for O in {X, Y}: the receiver's Bloch component at every grid time,
     measured as each state arrives, so no series of states is kept."""
     op = op_site_n.upper()
     if op not in ("X", "Y"):
         raise ValueError("receiver operator must be X or Y")
     axis = "XY".index(op)
-    windows = _windows(psi0, schedule, n_steps, allow_large, schedule.total_time)
+    windows = _windows(psi0, schedule, n_steps, schedule.total_time)
     times, values = zip(*((t, _bloch(receiver_density(psi), axis))
                           for t, psi in _step_windows(psi0, *windows)))
     return np.array(times), np.array(values)
@@ -363,8 +358,7 @@ def _receiver_correction(blocks: np.ndarray) -> np.ndarray:
 
 def monte_carlo_average_fidelity(schedule: PulseSchedule, n_samples: int, seed: int,
                                  read_time: Optional[float] = None,
-                                 n_steps: Optional[int] = None,
-                                 allow_large: bool = False) -> Tuple[float, float]:
+                                 n_steps: Optional[int] = None) -> Tuple[float, float]:
     """Receiver fidelity averaged over uniform pure inputs at site 1.
 
     The rest of the chain starts in |0...0>.  Because the dynamics is linear,
@@ -377,10 +371,10 @@ def monte_carlo_average_fidelity(schedule: PulseSchedule, n_samples: int, seed: 
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     n = schedule.n_sites
-    _check_cap(n, allow_large)
+    _check_cap(n)
     basis = np.zeros((2, 1 << n), dtype=complex)
     basis[0, 0] = basis[1, 1 << (n - 1)] = 1.0  # |0 0...0> and site 1 flipped
-    u = np.stack([final_state(e, schedule, read_time, n_steps, allow_large) for e in basis])
+    u = np.stack([final_state(e, schedule, read_time, n_steps) for e in basis])
     u = u.reshape(2, -1, 2)
     blocks = np.einsum("irc,jrd->ijcd", u, u.conj())  # Tr_rest |u_i><u_j|
     correction = _receiver_correction(blocks)
@@ -483,7 +477,7 @@ def _ghz_candidates(assignment: SiteAssignment):
 
 
 def ghz_compare(assignment: SiteAssignment, schedule: Optional[PulseSchedule] = None,
-                n_steps: Optional[int] = None, allow_large: bool = False) -> GhzReport:
+                n_steps: Optional[int] = None) -> GhzReport:
     """Predicted post-kick state vs exact evolution, with the phase index
     resolved numerically (the two-branch relative phase is +-i; which one
     depends on the input and is picked by overlap)."""
@@ -492,8 +486,8 @@ def ghz_compare(assignment: SiteAssignment, schedule: Optional[PulseSchedule] = 
         schedule = ideal_schedule(n, "JxJy")
     if schedule.n_sites != n:
         raise ValueError("schedule and assignment disagree on N")
-    psi0 = product_state(assignment, allow_large)
-    evolved = final_state(psi0, schedule, None, n_steps, allow_large)
+    psi0 = product_state(assignment)
+    evolved = final_state(psi0, schedule, None, n_steps)
     candidates = _ghz_candidates(assignment)
     fids = [abs(np.vdot(c, evolved)) ** 2 for c in candidates]
     best = int(np.argmax(fids))

@@ -1,20 +1,15 @@
-"""Pauli strings and product-state site assignments for the open XY chain.
+"""Product-state site assignments for the open XY chain, and its channel names.
 
-Strings are labelled site 1 (sender, leftmost) to site N (receiver) and
-carry labels only, no phase.  No commutators are computed here: the operator
-graph is written down in closed form (``spinkick.graph``), with every sign
-on its edges.  A site assignment is a product of single-site pure states,
-and ``string_expectation`` reads a string's expectation in one built from
-X/Y/Z eigenstates.
+Sites are numbered 1 (sender, leftmost) to N (receiver).  A site assignment
+is a product of single-site pure states: X/Y/Z eigenstates or explicit
+2-vectors.  Operator strings are plain text, e.g. "IIXZ" (``spinkick.graph``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-PAULI_LABELS = ("I", "X", "Y", "Z")
 CHANNELS = ("Jx", "Jy", "B")
 
 _EIGENVECTORS = {
@@ -25,35 +20,6 @@ _EIGENVECTORS = {
     ("Y", +1): np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
     ("Y", -1): np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0),
 }
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """Tensor product of single-site Pauli/identity operators, by label only."""
-
-    labels: Tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.labels) < 2:
-            raise ValueError("Pauli strings need at least 2 sites")
-        bad = [c for c in self.labels if c not in PAULI_LABELS]
-        if bad:
-            raise ValueError(f"invalid Pauli labels: {bad}")
-
-    @classmethod
-    def from_text(cls, text: str) -> "PauliString":
-        return cls(tuple(text.upper()))
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.labels)
-
-    def op_at(self, site: int) -> str:
-        """Operator label at a 1-based site."""
-        return self.labels[site - 1]
-
-    def __str__(self) -> str:
-        return "".join(self.labels)
 
 
 class SiteAssignment:
@@ -132,24 +98,3 @@ class SiteAssignment:
                 out.append("(explicit)")
         return ",".join(out)
 
-
-def string_expectation(p: PauliString, assignment: SiteAssignment) -> int:
-    """Expectation of a Pauli string in a product of X/Y/Z eigenstates.
-
-    Product over sites of the single-site expectations: +-1 when the string's
-    operator matches the assigned eigenbasis, 0 on any non-identity mismatch.
-    """
-    if assignment.n_sites != p.n_sites:
-        raise ValueError(f"assignment has {assignment.n_sites} sites, string has {p.n_sites}")
-    if not assignment.is_eigenbasis():
-        raise ValueError("string_expectation needs eigenstate entries, not explicit vectors")
-    value = 1
-    for site in range(1, p.n_sites + 1):
-        op = p.op_at(site)
-        if op == "I":
-            continue
-        basis, sign = assignment.entries[site - 1]
-        if op != basis:
-            return 0
-        value *= sign
-    return value

@@ -112,9 +112,10 @@ def test_criterion_3_operator_graph(capsys):
         g = build_graph(5)
         assert [str(p) for p in g.nodes] == expected_nodes
         k = chain(5)
-        assert k.k_b[0, 5] == 1.0 and k.k_b[5, 0] == -1.0
-        assert k.k_jy[0, 1] == -1.0 and k.k_jy[1, 0] == 1.0
-        assert not np.any(k.k_jx[0]) and not np.any(k.k_jx[:, 0])
+        k_jx, k_jy, k_b = k.combined(1, 0, 0), k.combined(0, 1, 0), k.combined(0, 0, 1)
+        assert k_b[0, 5] == 1.0 and k_b[5, 0] == -1.0
+        assert k_jy[0, 1] == -1.0 and k_jy[1, 0] == 1.0
+        assert not np.any(k_jx[0]) and not np.any(k_jx[:, 0])
         # every edge, every size up to 5, against dense commutators
         for n in range(2, 6):
             gn = build_graph(n)

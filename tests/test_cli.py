@@ -101,6 +101,17 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: 1200001 times x 3000")
         assert "Traceback" not in err
 
+    def test_running_product_counts_against_the_cap(self, capsys, monkeypatch):
+        # 5001 times x 10000 coefficients fit the table alone, not with the 10000 x 10000
+        # product: refused before the operator graph is built
+        monkeypatch.setattr(spinkick.flux, "chain", lambda n: pytest.fail("built the generator"))
+        rc, out, err = run(capsys, "simulate", "--n-sites", "5000", "--scheme", "JxJy",
+                           "--steps", "1")
+        assert rc == 4
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: 5001 times x 10000")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["fidelity", "ghz"])
     def test_huge_oracle_kick_exits_3(self, capsys, tmp_path, monkeypatch, command):
         # each window's bound passes the 2^20-substep cap: refused before the run is merged

@@ -215,8 +215,8 @@ class TestTransferReadTime:
         read_time, a, b = transfer_read_time(s, 40)
         rx = propagate(s, 40)
         ry = propagate(s, 40, seed=5)
-        x_node = next(i + 1 for i, p in enumerate(rx.nodes) if p.op_at(1) == "X")
-        y_node = next(i + 1 for i, p in enumerate(rx.nodes) if p.op_at(1) == "Y")
+        x_node = next(i + 1 for i, p in enumerate(rx.nodes) if p[0] == "X")
+        y_node = next(i + 1 for i, p in enumerate(rx.nodes) if p[0] == "Y")
         joint = joint_average_fidelity(rx.alpha_series(x_node), ry.alpha_series(y_node))
         i = int(np.argmin(np.abs(rx.times - read_time)))
         assert joint[i] == pytest.approx(np.max(joint), abs=1e-12)

@@ -74,7 +74,7 @@ class TestRotateRun:
         start = expm_series(a - a.T)  # an orthogonal product before the run
         cols = np.arange(2 * n)  # record every column
         weights, basis, product = rotate_run(start, k.matchings[channel], np.array(angles), cols)
-        generator = (k.k_jx, k.k_jy, k.k_b)[channel]
+        generator = k.combined(*np.eye(3)[channel])
         ref = start
         for w, angle in zip(weights, angles):
             ref = ref @ expm_series(angle * generator)
@@ -92,7 +92,7 @@ def _expm_loop(k, schedule, seed):
     """(alphas, transfer) with one expm_series map per window, products in time order."""
     grid = step_grid(schedule, default_steps(schedule))
     amps = window_amplitudes(schedule, grid)
-    site1 = [next(i for i, p in enumerate(k.nodes) if p.op_at(1) == op) for op in "XY"]
+    site1 = [next(i for i, p in enumerate(k.nodes) if p[0] == op) for op in "XY"]
     product = np.eye(k.dim)
     columns = [product[:, [seed - 1, 0, k.n_sites]]]
     for dt, row in zip(np.diff(grid), amps):
@@ -165,7 +165,8 @@ class TestClosedFormWindows:
 
 class TestResourceCap:
     def test_table_cap_refuses_before_allocating(self, monkeypatch):
-        monkeypatch.setattr(flux, "MAX_TABLE_FLOATS", 10 * 10)
+        # 10 times x 10 coefficients and the 10 x 10 running product
+        monkeypatch.setattr(flux, "MAX_TABLE_FLOATS", (10 + 10) * 10)
         assert len(propagate(sin_power_schedule(5, 6), 9).times) == 10  # at the cap
         monkeypatch.setattr(flux, "window_amplitudes", lambda *args: pytest.fail("allocated"))
         with pytest.raises(ResourceCapError, match="11 times x 10 coefficients"):
@@ -184,7 +185,7 @@ class TestResourceCap:
                                       lambda: ideal_schedule(200, "JxB")])
     def test_n200_default_grid_fits(self, make):
         s = make()
-        assert len(step_grid(s, default_steps(s))) * 400 <= flux.MAX_TABLE_FLOATS
+        assert (len(step_grid(s, default_steps(s))) + 400) * 400 <= flux.MAX_TABLE_FLOATS
 
 
 class TestPropagate:
@@ -307,7 +308,7 @@ class TestPropagate:
         # the site-1 X node is canonical index N for odd N and 2N for even N
         x1 = n_sites if n_sites % 2 else 2 * n_sites
         y1 = 2 * n_sites if n_sites % 2 else n_sites
-        assert rx.nodes[x1 - 1].op_at(1) == "X" and rx.nodes[y1 - 1].op_at(1) == "Y"
+        assert rx.nodes[x1 - 1][0] == "X" and rx.nodes[y1 - 1][0] == "Y"
         for result in (rx, ry):  # either seed's run records the block of both
             assert result.transfer.shape == (len(result.times), 2, 2)
             for row, node in enumerate((x1, y1)):
@@ -469,8 +470,8 @@ class TestInformationFlux:
         # which family holds the leading-X node alternates with N
         r = propagate(sin_power_schedule(n_sites, 4), 50)
         flux = information_flux(r, SiteAssignment.uniform(n_sites - 1, "Z", 1))
-        x_node = next(i + 1 for i, p in enumerate(r.nodes) if p.op_at(1) == "X")
-        y_node = next(i + 1 for i, p in enumerate(r.nodes) if p.op_at(1) == "Y")
+        x_node = next(i + 1 for i, p in enumerate(r.nodes) if p[0] == "X")
+        y_node = next(i + 1 for i, p in enumerate(r.nodes) if p[0] == "Y")
         expected_x = n_sites if n_sites % 2 == 1 else 2 * n_sites
         assert x_node == expected_x
         np.testing.assert_array_equal(flux[("X", "X")], r.alpha_series(x_node))
@@ -490,6 +491,32 @@ class TestInformationFlux:
         r = propagate(sin_power_schedule(n, 4), 50)
         flux = information_flux(r, SiteAssignment.uniform(n - 1, "X", 1))
         assert np.max(np.abs(flux[("X", "X")])) == 0.0
+
+    @pytest.mark.parametrize("n_sites", [2, 3, 4, 5])
+    def test_against_dense_expectations(self, n_sites):
+        # each node leading at site 1 is weighted by its dense expectation in the
+        # product state: site 1 in the +1 eigenstate of that lead, then the rest state
+        rng = np.random.default_rng(n_sites)
+        s = sin_power_schedule(n_sites, 4)
+        for seed, seed_op in ((1, "X"), (n_sites + 1, "Y")):
+            r = propagate(s, 20, seed=seed)
+            for _ in range(25):
+                rest = SiteAssignment([("XYZ"[int(rng.integers(3))], int(rng.choice([-1, 1])))
+                                       for _ in range(n_sites - 1)])
+                want = {}
+                for j, node in enumerate(r.nodes):
+                    if node[0] == "I":
+                        continue
+                    site1 = SiteAssignment([(node[0], 1)] + rest.entries)
+                    psi = np.eye(1, dtype=complex)[0]
+                    for site in range(1, n_sites + 1):
+                        psi = np.kron(psi, site1.site_vector(site))
+                    weight = oracles.pauli_expectation(psi, node)
+                    want[(seed_op, node[0])] = weight * r.alphas[:, j]
+                got = information_flux(r, rest)
+                assert list(got) == list(want)
+                for key in want:
+                    np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12)
 
     def test_validation(self):
         r = propagate(sin_power_schedule(3, 4), 10)

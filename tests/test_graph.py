@@ -74,7 +74,7 @@ class TestClosure:
             for channels in itertools.combinations(("Jx", "Jy", "B"), r):
                 g = build_graph(n_sites, channels)
                 reached, dense_edges = oracles.dense_closure(n_sites, channels)
-                labels = [p.labels for p in g.nodes]
+                labels = [tuple(p) for p in g.nodes]
                 assert set(labels) == reached and len(labels) == len(reached), channels
                 want = {}
                 for e in g.edges:
@@ -103,22 +103,28 @@ class TestClosure:
             build_graph(3, ())
 
 
+def _channel_matrices(k):
+    """Dense K_Jx, K_Jy, K_B, each channel alone at amplitude 1."""
+    return [k.combined(*row) for row in np.eye(3)]
+
+
 class TestEdgeSigns:
     def test_n5_first_rows(self):
         k = chain(5)
+        k_jx, k_jy, k_b = _channel_matrices(k)
         # receiver X couples to receiver Y through the field ...
-        assert k.k_b[0, 5] == 1
-        assert k.k_b[5, 0] == -1
+        assert k_b[0, 5] == 1
+        assert k_b[5, 0] == -1
         # ... and to the Y Z tail through the Jy bond
-        assert k.k_jy[0, 1] == -1
-        assert k.k_jy[1, 0] == 1
+        assert k_jy[0, 1] == -1
+        assert k_jy[1, 0] == 1
         # Jx does not touch the receiver X node
-        assert np.all(k.k_jx[0] == 0)
+        assert np.all(k_jx[0] == 0)
 
     @pytest.mark.parametrize("n_sites", [2, 3, 4, 5])
     def test_antisymmetry(self, n_sites):
         k = chain(n_sites)
-        for mat in (k.k_jx, k.k_jy, k.k_b):
+        for mat in _channel_matrices(k):
             np.testing.assert_array_equal(mat.T, -mat)
 
     def test_chain_is_shared_and_read_only(self):
@@ -126,29 +132,34 @@ class TestEdgeSigns:
         assert chain(4) is k
         want = chain.__wrapped__(4)  # a fresh build, past the cache
         assert k.nodes == want.nodes
-        for got, ref in ((k.k_jx, want.k_jx), (k.k_jy, want.k_jy), (k.k_b, want.k_b)):
-            np.testing.assert_array_equal(got, ref)
+        got = [a for m in k.matchings for a in m] + [a for pair in k.scatter for a in pair]
+        ref = [a for m in want.matchings for a in m] + [a for pair in want.scatter for a in pair]
+        for array, array_ref in zip(got, ref):
+            np.testing.assert_array_equal(array, array_ref)
             with pytest.raises(ValueError):
-                got[0, 0] = 1.0
+                array[0] = 1
 
     @pytest.mark.parametrize("n_sites", range(2, 41))
     def test_each_channel_is_a_matching(self, n_sites):
         # the closed-form window maps rely on this: one rotation per edge, none sharing a node
         k = chain(n_sites)
-        for mat, m in zip((k.k_jx, k.k_jy, k.k_b), k.matchings):
+        mats = _channel_matrices(k)
+        for mat, m in zip(mats, k.matchings):
             nonzero = mat != 0
             assert nonzero.sum(axis=0).max() <= 1 and nonzero.sum(axis=1).max() <= 1
+            assert not np.signbit(mat[~nonzero]).any()  # the channels at 0 write no -0.0
             rebuilt = np.zeros((k.dim, k.dim))
             rebuilt[m.a, m.b] = m.sign
             rebuilt[m.b, m.a] = -m.sign
             assert np.array_equal(rebuilt, mat)
-        union = (k.k_jx != 0) | (k.k_jy != 0) | (k.k_b != 0)
+        union = (mats[0] != 0) | (mats[1] != 0) | (mats[2] != 0)
         assert union.sum(axis=1).max() <= 3
 
     def test_combined_is_linear(self):
         k = chain(3)
         got = k.combined(0.5, -2.0, 3.0)
-        np.testing.assert_allclose(got, 0.5 * k.k_jx - 2.0 * k.k_jy + 3.0 * k.k_b)
+        k_jx, k_jy, k_b = _channel_matrices(k)
+        np.testing.assert_allclose(got, 0.5 * k_jx - 2.0 * k_jy + 3.0 * k_b)
 
     @pytest.mark.parametrize("n_sites", range(2, 8))
     def test_every_edge_and_no_missing_edge_against_dense(self, n_sites):

@@ -355,7 +355,7 @@ def _random_state(n_sites, seed):
 
 def _every_window(psi0, schedule, n_steps, read_time):
     """The last state of the window-by-window loop up to read_time, nothing merged."""
-    windows = oracle._windows(psi0, schedule, n_steps, False, read_time)
+    windows = oracle._windows(psi0, schedule, n_steps, read_time)
     return list(oracle._step_windows(psi0, *windows))[-1][1]
 
 
@@ -689,10 +689,6 @@ class TestResourceCap:
     def test_product_state_capped(self):
         with pytest.raises(ResourceCapError):
             product_state(SiteAssignment.uniform(16))
-
-    def test_override(self):
-        psi = product_state(SiteAssignment.uniform(15), allow_large=True)
-        assert len(psi) == 2 ** 15
 
     def test_evolution_capped(self):
         with pytest.raises(ResourceCapError):

@@ -1,25 +1,7 @@
 import numpy as np
 import pytest
 
-from spinkick import PauliString, SiteAssignment, string_expectation
-
-import oracles
-
-
-class TestPauliString:
-    def test_from_text_roundtrip(self):
-        p = PauliString.from_text("ixYz")
-        assert p.labels == ("I", "X", "Y", "Z")
-        assert str(p) == "IXYZ"
-        assert p.n_sites == 4
-
-    def test_rejects_bad_labels(self):
-        with pytest.raises(ValueError):
-            PauliString.from_text("IXQ")
-
-    def test_rejects_single_site(self):
-        with pytest.raises(ValueError):
-            PauliString(("X",))
+from spinkick import SiteAssignment
 
 
 class TestSiteAssignment:
@@ -66,48 +48,3 @@ class TestSiteAssignment:
         with pytest.raises(ValueError):
             SiteAssignment([("X", 2)])
 
-
-class TestStringExpectation:
-    def test_matching_z_pair(self):
-        p = PauliString.from_text("IZZ")
-        assert string_expectation(p, SiteAssignment.uniform(3, "Z", 1)) == 1
-
-    def test_single_flip(self):
-        p = PauliString.from_text("IZI")
-        a = SiteAssignment.parse("0,1,0")
-        assert string_expectation(p, a) == -1
-
-    def test_mismatch_is_zero(self):
-        p = PauliString.from_text("IXI")
-        assert string_expectation(p, SiteAssignment.uniform(3, "Z", 1)) == 0
-
-    def test_mixed_product(self):
-        p = PauliString.from_text("XZ")
-        a = SiteAssignment([("X", 1), ("Z", -1)])
-        assert string_expectation(p, a) == -1
-
-    def test_rejects_explicit_entries(self):
-        a = SiteAssignment([("Z", 1), [1.0, 1.0]])
-        with pytest.raises(ValueError):
-            string_expectation(PauliString.from_text("ZZ"), a)
-
-    def test_rejects_size_mismatch(self):
-        with pytest.raises(ValueError):
-            string_expectation(PauliString.from_text("ZZ"), SiteAssignment.uniform(3))
-
-    def test_against_dense(self):
-        # product states of eigenvectors, expectation via explicit matrices
-        rng = np.random.default_rng(11)
-        bases = ["X", "Y", "Z"]
-        for _ in range(100):
-            n = int(rng.integers(2, 5))
-            entries = [(bases[int(rng.integers(0, 3))], int(rng.choice([-1, 1])))
-                       for _ in range(n)]
-            a = SiteAssignment(entries)
-            psi = np.eye(1, dtype=complex)[0]
-            for s in range(1, n + 1):
-                psi = np.kron(psi, a.site_vector(s))
-            labels = tuple(rng.choice(list("IXYZ"), size=n))
-            got = string_expectation(PauliString(labels), a)
-            want = oracles.pauli_expectation(psi, labels)
-            assert abs(got - want) < 1e-12
