@@ -486,6 +486,26 @@ class TestInformationFlux:
         parity = (-1.0) ** (n_sites - 1)
         np.testing.assert_array_equal(flux[("X", "X")], parity * ground[("X", "X")])
 
+    @pytest.mark.parametrize("rest, sign", [("1,0,0", -1), ("0,1,0", -1), ("0,0,1", -1),
+                                            ("1,0,1", 1)])
+    def test_flipped_rest_spins_set_the_sign(self, rest, sign):
+        # every rest site enters the Z parity: each excited spin negates both leads
+        r = propagate(sin_power_schedule(4, 4), 50)
+        ground = information_flux(r, SiteAssignment.parse("0,0,0"))
+        flux = information_flux(r, SiteAssignment.parse(rest))
+        assert list(flux) == list(ground)
+        for key in ground:
+            np.testing.assert_array_equal(flux[key], sign * ground[key])
+
+    @pytest.mark.parametrize("op", ["X", "Y"])
+    def test_one_transverse_rest_site_blocks_every_key(self, op):
+        # a single X or Y eigenstate among Z rest sites zeroes both Z tails
+        r = propagate(sin_power_schedule(4, 4), 50)
+        flux = information_flux(r, SiteAssignment([("Z", 1), (op, -1), ("Z", -1)]))
+        assert list(flux) == list(information_flux(r, SiteAssignment.parse("0,0,0")))
+        for series in flux.values():
+            assert np.max(np.abs(series)) == 0.0
+
     def test_rest_in_x_basis_blocks_z_tails(self):
         n = 3
         r = propagate(sin_power_schedule(n, 4), 50)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,15 @@ class TestCanonicalOrder:
     def test_n2_nodes(self):
         g = build_graph(2)
         assert [str(p) for p in g.nodes] == ["IX", "YZ", "IY", "XZ"]
+
+    def test_labels_are_plain_strings_of_lead_and_z_tail(self):
+        # every node is an N-letter string: identities, one X or Y lead, then Z to the end
+        for n in range(2, 41):
+            nodes = build_graph(n).nodes
+            assert all(type(p) is str and len(p) == n for p in nodes)
+            assert all(re.fullmatch("I*[XY]Z*", p) for p in nodes)
+            assert len(set(nodes)) == 2 * n
+            assert chain(n).nodes == nodes
 
     def test_transfer_indices(self):
         # the end-to-end transfer coefficients sit at fixed slots N and 2N

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -689,6 +690,16 @@ class TestResourceCap:
     def test_product_state_capped(self):
         with pytest.raises(ResourceCapError):
             product_state(SiteAssignment.uniform(16))
+
+    def test_cap_is_fourteen_sites(self):
+        assert len(product_state(SiteAssignment.uniform(14))) == 2 ** 14
+        with pytest.raises(ResourceCapError, match=r"^N=15 exceeds the cap of 14 sites$"):
+            product_state(SiteAssignment.uniform(15))
+
+    def test_cap_has_no_override(self):
+        for fn in (product_state, evolve_state, final_state, heisenberg_expectation,
+                   monte_carlo_average_fidelity, ghz_compare):
+            assert "allow_large" not in inspect.signature(fn).parameters, fn.__name__
 
     def test_evolution_capped(self):
         with pytest.raises(ResourceCapError):
