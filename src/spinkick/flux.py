@@ -10,8 +10,11 @@ the generators of different windows fail to commute.
 Windows with one channel on commute with each other when they share the
 channel: each channel's generator is a matching, so a run of such windows is
 one plane rotation per edge at the summed angle (rotate_run), and the running
-product advances by one Givens update per run.  Only windows that mix
-channels take a dense exponential (expm_series).
+product advances in place by one Givens rotation per matched column pair.
+Only windows that mix channels take a dense exponential: a run of them is
+cut into blocks of about _BLOCK_FLOATS floats of maps, each block's
+generators are scattered as one (W, dim, dim) stack and exponentiated by one
+expm_series call, and the product then advances window by window.
 """
 from __future__ import annotations
 
@@ -32,45 +35,66 @@ _MAX_NORM = 0.5 * 2.0 ** _MAX_SCALE_DEPTH
 # running product: 512 MiB, so N = 200 on its default grid ((160,001 + 400) x 400 =
 # 64.16 M) still runs and anything larger is refused before allocation
 MAX_TABLE_FLOATS = 2 ** 26
+# floats of window maps one block of mixed windows holds (max(1, _BLOCK_FLOATS // dim**2)
+# windows), and of each temporary of rotate_run's row chunks: 128 KiB
+_BLOCK_FLOATS = 2 ** 14
 _THETA = np.array([(2.0 ** -53 * math.factorial(m + 1)) ** (1.0 / (m + 1)) for m in range(18)])
 
 
 def expm_series(a: np.ndarray) -> np.ndarray:
-    """exp(a) by truncated Taylor series with binary step subdivision.
+    """exp of each matrix of a (..., d, d) stack: Taylor series with binary step subdivision.
 
-    The matrix is halved until its 1-norm theta is at most 0.5 (each halving
+    A matrix is halved until its 1-norm theta is at most 0.5 (each halving
     is one subdivision of the time step, undone by squaring).  The Horner-form
     sum stops at the first degree m with theta^(m+1)/(m+1)! <= 2^-53 (_THETA).
+    Every norm is checked before any map is computed; the matrices that share
+    a (depth, degree) pair are then summed and squared together, in place.  A
+    2-D input is a stack of one.
     """
-    norm = np.linalg.norm(a, 1)
-    _check_norm(norm)
-    depth = 0
-    if norm > 0.5:
-        depth = int(math.ceil(math.log2(norm / 0.5)))
-    b = a / 2 ** depth
-    degree = int(np.searchsorted(_THETA, norm / 2 ** depth))
-    dim = a.shape[0]
-    out = np.eye(dim)
-    for l in range(degree, 0, -1):  # I + b/1 (I + b/2 (... (I + b/m)))
-        out = b @ out / l
-        out.flat[::dim + 1] += 1.0
-    for _ in range(depth):
-        out = out @ out
-    return out
+    a = np.asarray(a, dtype=float)
+    stack = a.reshape((-1,) + a.shape[-2:])
+    norms = np.linalg.norm(stack, 1, axis=(-2, -1))
+    bad = ~(norms <= _MAX_NORM)  # also an infinite or NaN norm
+    if bad.any():
+        _check_norm(norms[bad.argmax()])
+    # math.log2 per norm: a vector log2 may round differently next to a power of two
+    depths = np.array([math.ceil(math.log2(x / 0.5)) if x > 0.5 else 0 for x in norms.tolist()],
+                      dtype=int)
+    degrees = np.searchsorted(_THETA, np.ldexp(norms, -depths))
+    dim = stack.shape[-1]
+    out = np.empty(stack.shape)
+    for depth, degree in sorted(set(zip(depths.tolist(), degrees.tolist()))):
+        group = np.flatnonzero((depths == depth) & (degrees == degree))
+        b = stack[group]
+        b /= 2 ** depth
+        x, y = np.zeros_like(b), np.empty_like(b)
+        x_diag, y_diag = (m.reshape(len(group), -1)[:, ::dim + 1] for m in (x, y))
+        x_diag += 1.0
+        for l in range(degree, 0, -1):  # I + b/1 (I + b/2 (... (I + b/m)))
+            np.matmul(b, x, out=y)
+            y /= l
+            y_diag += 1.0
+            x, y, x_diag, y_diag = y, x, y_diag, x_diag
+        for _ in range(depth):
+            np.matmul(x, x, out=y)
+            x, y = y, x
+        out[group] = x
+    return out.reshape(a.shape)
 
 
 def rotate_run(product: np.ndarray, matching: Matching, angles: np.ndarray,
-               cols: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A run of windows on one channel in closed form: (weights, basis, product).
+               cols: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """A run of windows on one channel in closed form: (weights, basis); product advances in place.
 
     The channel's generator K is a matching, so the window maps exp(angle_k*K)
     commute and compose to one plane rotation per edge at the summed angle
     phi_j.  Columns `cols` of the product after window j are
     weights[j] @ basis, contracted over the first axis of the (3, dim,
     len(cols)) basis: P cos(phi_j) + P K sin(phi_j) on matched nodes, P on
-    the others.  The returned product is P exp(phi*K) at the run's whole
-    angle, one Givens update of the matched column pairs.  Every angle is
-    checked against the expm_series bound before anything is computed.
+    the others.  The product then becomes P exp(phi*K) at the run's whole
+    angle: one Givens rotation of each matched column pair, taken in chunks
+    of rows so that no temporary exceeds _BLOCK_FLOATS floats.  Every angle
+    is checked against the expm_series bound before anything is computed.
     """
     bad = ~(np.abs(angles) <= _MAX_NORM)  # also an infinite or NaN angle
     if bad.any():
@@ -85,8 +109,15 @@ def rotate_run(product: np.ndarray, matching: Matching, angles: np.ndarray,
     basis = np.stack([now * ~matched, now * matched, product[:, partner[cols]] * sign[cols]])
     weights = np.column_stack([np.ones(len(phi)), np.cos(phi), np.sin(phi)])
     _, cos, sin = weights[-1]
-    product = product * np.where(sign != 0, cos, 1.0) + product[:, partner] * (sign * sin)
-    return weights, basis, product
+    rows = max(1, _BLOCK_FLOATS // len(a))
+    for lo in range(0, len(product), rows):
+        block = product[lo:lo + rows]
+        pa, pb = block[:, a], block[:, b]
+        block[:, a] = pa * cos + pb * (sign[a] * sin)
+        block[:, b] = pb * cos + pa * (sign[b] * sin)
+    if np.signbit(sin):  # unmatched columns are P*1 + P*(0*sin): P, but -0.0 becomes +0.0
+        product[:, sign == 0] += 0.0
+    return weights, basis
 
 
 def _check_norm(norm: float) -> None:
@@ -124,14 +155,16 @@ def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int 
 
     The windows are stepped by runs.  A run is a maximal stretch of windows
     with the same single channel on (an all-zero window counts as one with
-    angle 0); a window with two or more channels on is a run by itself and
-    takes its map from expm_series.  A channel's generator K_c is a
+    angle 0), or a maximal stretch of windows with two or more channels on,
+    whose maps come from expm_series in blocks of max(1, _BLOCK_FLOATS //
+    dim**2) windows, one call per block.  A channel's generator K_c is a
     matching, so its edges commute and the maps of a run with window angles
     theta_k = 2*dt_k*amp_k compose to exp(phi*K_c), one plane rotation per
     edge at the summed angle phi.  With P the product before the run, the
     columns after window j are P cos(phi_j) + P K_c sin(phi_j) on matched
     nodes and P on the others, written straight into the output rows; the
-    product then advances by one Givens update at the run's whole angle.
+    product then advances in place by one Givens update at the run's whole
+    angle.
 
     Where the schedule's periodicity holds on the grid (see _period_windows),
     one period of windows is stepped from the identity: with Q_j the product
@@ -156,6 +189,7 @@ def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int 
     # site-1 rows found by operator: their canonical indices swap with the parity of N
     rows = [next(i for i, p in enumerate(k.nodes) if p[0] == op) for op in "XY"]
     cols = [seed - 1, 0, k.n_sites]  # the seed's column, then the X_N and Y_N seeds
+    per_block = max(1, _BLOCK_FLOATS // dim ** 2)
     alphas = np.zeros((len(grid), dim))
     alphas[0, seed - 1] = 1.0
     transfer = np.zeros((len(grid), 2, 2))  # at t = 0 both seeds sit on site N
@@ -170,17 +204,24 @@ def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int 
     def step(product, lo, hi, out, shift):
         """product times the maps of windows lo..hi-1, by runs; window i's columns to row i+shift."""
         c = channel[lo:hi]
-        starts = np.flatnonzero((c != np.r_[-2, c[:-1]]) | (c < 0)) + lo  # mixed: a run by itself
+        starts = np.flatnonzero(c != np.r_[-2, c[:-1]]) + lo
         for i, j in zip(starts, np.r_[starts[1:], hi]):
-            if channel[i] < 0:
-                scale = 2.0 * (grid[i + 1] - grid[i])  # folded into the amplitudes: signs are +-1
-                product = product @ expm_series(k.combined(*(scale * amps[i])))
-                put(out, i + shift, product[:, cols])
+            if channel[i] >= 0:
+                angles = 2.0 * (grid[i + 1:j + 1] - grid[i:j]) * amps[i:j, channel[i]]
+                weights, basis = rotate_run(product, k.matchings[channel[i]], angles, cols)
+                for view, keep in out:  # rows i..j-1 of the run, with no stacked temporary
+                    np.matmul(weights, keep(basis), out=view[i + shift:j + shift])
                 continue
-            angles = 2.0 * (grid[i + 1:j + 1] - grid[i:j]) * amps[i:j, channel[i]]
-            weights, basis, product = rotate_run(product, k.matchings[channel[i]], angles, cols)
-            for view, keep in out:  # rows i..j-1 of the run, with no stacked temporary
-                np.matmul(weights, keep(basis), out=view[i + shift:j + shift])
+            for at in range(i, j, per_block):  # mixed windows: one expm_series call per block
+                to = min(at + per_block, j)
+                scale = 2.0 * (grid[at + 1:to + 1] - grid[at:to])  # into the amplitudes: signs are +-1
+                maps = expm_series(k.combined(*(scale[:, None] * amps[at:to]).T))
+                columns = np.empty((to - at, dim, len(cols)))
+                for w in range(to - at):
+                    product = product @ maps[w]
+                    columns[w] = product[:, cols]
+                put(out, slice(at + shift, to + shift), columns)
+                del maps  # one block of maps at a time
         return product
 
     # window_amplitudes rejects non-finite amplitudes, rotate_run and expm_series inf or NaN norms

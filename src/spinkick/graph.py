@@ -87,16 +87,18 @@ class GeneratorMatrix:
     def dim(self) -> int:
         return len(self.nodes)
 
-    def combined(self, jx: float, jy: float, b: float) -> np.ndarray:
+    def combined(self, jx, jy, b) -> np.ndarray:
         """The dense generator jx*K_Jx + jy*K_Jy + b*K_B in a fresh matrix.
 
-        A channel at amplitude 0 writes nothing, so no entry is -0.0.
+        Amplitude arrays of one shape S give a fresh S + (dim, dim) stack,
+        one generator per entry.  A channel at amplitude 0 writes +0.0, so
+        no entry is -0.0.
         """
-        out = np.zeros(self.dim * self.dim)
-        for amp, (index, sign) in zip((jx, jy, b), self.scatter):
-            if amp != 0.0:
-                out[index] = amp * sign
-        return out.reshape(self.dim, self.dim)
+        amps = np.array([jx, jy, b], dtype=float)
+        out = np.zeros(amps.shape[1:] + (self.dim * self.dim,))
+        for amp, (index, sign) in zip(amps, self.scatter):
+            out[..., index] = amp[..., None] * sign + 0.0  # -0.0 + 0.0 is +0.0, all else kept
+        return out.reshape(amps.shape[1:] + (self.dim, self.dim))
 
 
 def _nodes(n_sites: int) -> Tuple[str, ...]:

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -63,6 +64,63 @@ class TestExpmSeries:
         with pytest.raises(NumericalContractError, match="too large"):
             expm_series(a)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 8), rng_seed=st.integers(0, 2 ** 32 - 1),
+           norms=st.lists(st.one_of(st.just(0.0), st.sampled_from([0.5 * 2.0 ** k for k in range(9)]),
+                                    st.floats(0.0, 128.0)), min_size=1, max_size=12))
+    def test_each_slice_of_a_stack_is_its_matrix_alone(self, n, rng_seed, norms):
+        # 1-norms up to 128 mix scaling depths 0..8 and Horner degrees in one stack
+        rng = np.random.default_rng(rng_seed)
+        stack = []
+        for norm in norms:
+            a = rng.normal(size=(2 * n, 2 * n))
+            a = a - a.T
+            stack.append(a * (norm / np.linalg.norm(a, 1)))
+        stack = np.array(stack)
+        got = expm_series(stack)
+        assert got.shape == stack.shape
+        for member, u in zip(stack, got):
+            assert np.array_equal(u, expm_series(member))
+
+    @pytest.mark.parametrize("n", [2, 7, 25])
+    def test_a_matrix_maps_as_the_single_matrix_rule(self, n):
+        # window generators and dense antisymmetric matrices at depths 0..8, and zero
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(2 * n, 2 * n))
+        mats = [np.zeros((2 * n, 2 * n))] + [
+            m * scale for m in (chain(n).combined(0.8, -0.3, 1.1), a - a.T)
+            for scale in (1e-3, 0.02, 0.4, 3.0, 40.0, 128.0 / np.linalg.norm(m, 1))]
+        for m in mats:
+            u = expm_series(m)
+            assert u.shape == m.shape
+            assert np.array_equal(u, _single_matrix_expm(m))
+
+    @pytest.mark.parametrize("scale", [1e30, np.inf, np.nan])
+    def test_one_bad_member_of_a_stack_is_named_before_any_map(self, monkeypatch, scale):
+        good = 0.3 * chain(2).combined(1.0, -1.0, 0.5)
+        bad = np.zeros((4, 4))
+        bad[0, 1], bad[1, 0] = scale, -scale
+        stack = np.array([good, 20.0 * good, bad, good])
+        norm = np.linalg.norm(bad, 1)
+        monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: pytest.fail("computed a map"))
+        with pytest.raises(NumericalContractError, match=re.escape(f"norm {norm:g} too large")):
+            expm_series(stack)
+
+
+def _single_matrix_expm(a):
+    """expm_series's scaling, Horner sum and squaring written for one matrix."""
+    norm = np.linalg.norm(a, 1)
+    depth = int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
+    b = a / 2 ** depth
+    degree = int(np.searchsorted(flux._THETA, norm / 2 ** depth))
+    out = np.eye(len(a))
+    for l in range(degree, 0, -1):
+        out = b @ out / l
+        out.flat[::len(a) + 1] += 1.0
+    for _ in range(depth):
+        out = out @ out
+    return out
+
 
 class TestRotateRun:
     @settings(max_examples=80, deadline=None)
@@ -73,7 +131,8 @@ class TestRotateRun:
         a = np.random.default_rng(rng_seed).normal(size=(2 * n, 2 * n))
         start = expm_series(a - a.T)  # an orthogonal product before the run
         cols = np.arange(2 * n)  # record every column
-        weights, basis, product = rotate_run(start, k.matchings[channel], np.array(angles), cols)
+        product = start.copy()  # advanced in place
+        weights, basis = rotate_run(product, k.matchings[channel], np.array(angles), cols)
         generator = k.combined(*np.eye(3)[channel])
         ref = start
         for w, angle in zip(weights, angles):
@@ -86,6 +145,26 @@ class TestRotateRun:
     def test_depth_guard(self, angle):
         with pytest.raises(NumericalContractError, match="too large"):
             rotate_run(np.eye(6), chain(3).matchings[0], np.array([0.5, angle]), [0])
+
+    @pytest.mark.parametrize("n", [2, 5, 40, 300])
+    @pytest.mark.parametrize("channel", [0, 1, 2])
+    @pytest.mark.parametrize("angle", [0.7, -0.7, 2.5, -2.5, 0.0, -0.0])
+    def test_in_place_update_is_the_whole_matrix_formula_bit_for_bit(self, n, channel, angle):
+        # P cos + P K sin on matched columns and P*1 + P*(0*sin) on the others, signed zeros
+        # included; N = 300 takes several row chunks
+        rng = np.random.default_rng(n)
+        start = rng.normal(size=(2 * n, 2 * n))
+        start[rng.random(start.shape) < 0.3] = -0.0
+        start[rng.random(start.shape) < 0.1] = 0.0
+        a, b, s = chain(n).matchings[channel]
+        partner, sign = np.arange(2 * n), np.zeros(2 * n)
+        partner[a], partner[b] = b, a
+        sign[a], sign[b] = -s, s
+        cos, sin = np.cos(angle), np.sin(angle)
+        want = start * np.where(sign != 0, cos, 1.0) + start[:, partner] * (sign * sin)
+        product = start.copy()
+        rotate_run(product, chain(n).matchings[channel], np.array([angle]), [0])
+        assert product.tobytes() == want.tobytes()
 
 
 def _expm_loop(k, schedule, seed):
@@ -117,8 +196,10 @@ def _same_channel_steps(n):
 
 
 def _count_expm(monkeypatch):
+    """Stack lengths of the expm_series calls: their sum is the number of matrices exponentiated."""
     calls = []
-    monkeypatch.setattr(flux, "expm_series", lambda a: calls.append(1) or expm_series(a))
+    monkeypatch.setattr(flux, "expm_series",
+                        lambda a: calls.append(math.prod(a.shape[:-2])) or expm_series(a))
     return calls
 
 
@@ -160,7 +241,7 @@ class TestClosedFormWindows:
         amps = window_amplitudes(s, grid)
         first, n, _ = flux._period_windows(s, grid, amps)
         assert np.count_nonzero(amps[first:first + n, 2]) == mixed
-        assert len(calls) == mixed
+        assert sum(calls) == mixed
 
 
 class TestResourceCap:
@@ -336,6 +417,30 @@ class TestPropagate:
             tracemalloc.stop()
         assert peak <= 1.5 * (r.times.nbytes + r.alphas.nbytes + r.transfer.nbytes)
 
+    @pytest.mark.parametrize("make,n_steps", [
+        (lambda: ideal_schedule(300, "JxJy"), 1),  # runs only: rotate_run's row chunks
+        (lambda: sin_power_schedule(64, 6), 300),  # 2N = 128: one map per block, every window stepped
+    ], ids=["JxJy-300", "sin6-64"])
+    def test_peak_is_the_table_two_products_and_one_block(self, make, n_steps):
+        s = make()
+        dim = 2 * s.n_sites
+        assert max(1, flux._BLOCK_FLOATS // dim ** 2) == 1
+        propagate(s, 1)  # build chain(N) outside the measurement
+        tracemalloc.start()
+        try:
+            r = propagate(s, n_steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _reused_periods(s, n_steps) == 0
+        # per time: t, alphas and the transfer block; per window: amplitudes and channel
+        table = len(r.times) * (1 + dim + 4 + 3 + 1) * 8
+        products = 2 * dim * dim * 8  # the running product and its successor (or the period map)
+        # one block: its generators, maps, scaled copy and two series buffers, or the
+        # temporaries of one row chunk of rotate_run, each at most _BLOCK_FLOATS floats
+        block = 5 * flux._BLOCK_FLOATS * 8
+        assert peak <= table + products + block
+
     def test_default_steps_scale(self):
         s = sin_power_schedule(5, 6)  # total time 10*pi
         assert default_steps(s) == 4000
@@ -399,19 +504,17 @@ class TestPeriodReuse:
         s = _Ramped(4, 6, 0.8, 0.8)
         assert s.periodicity() == (0.0, math.pi, 8)
         assert _reused_periods(s, 320) == 0
-        calls = []
-        monkeypatch.setattr(flux, "expm_series", lambda a: calls.append(1) or expm_series(a))
+        calls = _count_expm(monkeypatch)
         r = propagate(s, 320)
-        assert len(calls) == 320
+        assert sum(calls) == 320
         ref = propagate(_window_loop(s), 320)
         assert np.array_equal(r.alphas, ref.alphas) and np.array_equal(r.transfer, ref.transfer)
 
     def test_one_period_of_exponentials(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(flux, "expm_series", lambda a: calls.append(1) or expm_series(a))
+        calls = _count_expm(monkeypatch)
         r = propagate(sin_power_schedule(25, 6))
         assert len(r.times) == 20001
-        assert len(calls) == 400
+        assert sum(calls) == 400
 
 
 class TestMaxAlpha:

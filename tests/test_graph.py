@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinkick import build_graph, chain, export_dot, graph_json
 
@@ -170,6 +171,18 @@ class TestEdgeSigns:
         got = k.combined(0.5, -2.0, 3.0)
         k_jx, k_jy, k_b = _channel_matrices(k)
         np.testing.assert_allclose(got, 0.5 * k_jx - 2.0 * k_jy + 3.0 * k_b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_sites=st.integers(2, 12),
+           rows=st.lists(st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                                               st.floats(-5.0, 5.0))] * 3),
+                         min_size=1, max_size=10))
+    def test_amplitude_arrays_give_the_scalar_generators(self, n_sites, rows):
+        k = chain(n_sites)
+        stack = k.combined(*np.array(rows).T)
+        assert stack.shape == (len(rows), k.dim, k.dim)
+        assert stack.tobytes() == np.array([k.combined(*row) for row in rows]).tobytes()
+        assert not np.signbit(stack[stack == 0]).any()
 
     @pytest.mark.parametrize("n_sites", range(2, 8))
     def test_every_edge_and_no_missing_edge_against_dense(self, n_sites):
