@@ -29,11 +29,15 @@ from .pulses import (DEFAULT_STEPS_PER_PI, QUARTER_TURN, boxcar_shape, calibrate
                      sin_power_schedule, square_schedule)
 
 
-def _write(text: str, path: str):
+def _write(path: str, *texts: str):
+    """Write the texts in turn to path, or to stdout for '-', without joining them first."""
     if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+        for text in texts:
+            sys.stdout.write(text)
+        return
+    with open(path, "w") as f:
+        for text in texts:
+            f.write(text)
 
 
 def _meta_lines(command: str, params: dict) -> str:
@@ -97,9 +101,9 @@ def cmd_graph(args) -> int:
     channels = tuple(args.channels.split(","))
     g = build_graph(args.n_sites, channels)
     if args.format == "dot":
-        _write(export_dot(g), args.out)
+        _write(args.out, export_dot(g))
     else:
-        _write(json.dumps(graph_json(g), indent=2) + "\n", args.out)
+        _write(args.out, json.dumps(graph_json(g), indent=2) + "\n")
     return 0
 
 
@@ -110,12 +114,11 @@ def cmd_simulate(args) -> int:
     seed = 1 if args.seed_node == "X" else n + 1
     result = propagate(schedule, n_steps, seed=seed)
     meta = {"n_steps": n_steps, "seed_node": args.seed_node, **_schedule_params(schedule)}
-    csv_text = _meta_lines("simulate", meta) + series_csv(result)
-    _write(csv_text, args.out)
+    _write(args.out, _meta_lines("simulate", meta), series_csv(result))
     report = {"meta": meta, **summary(result)}
     text = json.dumps(report, indent=2) + "\n"
     if args.summary:
-        _write(text, args.summary)
+        _write(args.summary, text)
     elif args.out != "-":
         sys.stdout.write(text)
     return 0
@@ -169,7 +172,7 @@ def cmd_sweep(args) -> int:
     failures = [r for r in rows if r.error is not None]
     for r in failures:
         text += f"# row {r.param_value:g} failed: {type(r.error).__name__}: {r.error}\n"
-    _write(text, args.out)
+    _write(args.out, text)
     if failures:
         raise failures[0].error
     return 0
@@ -192,7 +195,7 @@ def cmd_oracle_compare(args) -> int:
         "max_deviation": deviation,
         "grid_points": len(times),
     }
-    _write(json.dumps(report, indent=2) + "\n", args.out)
+    _write(args.out, json.dumps(report, indent=2) + "\n")
     return 0
 
 
@@ -220,7 +223,7 @@ def cmd_oracle_fidelity(args) -> int:
         "closed_form": closed_form,
         "difference": mean - closed_form,
     }
-    _write(json.dumps(report, indent=2) + "\n", args.out)
+    _write(args.out, json.dumps(report, indent=2) + "\n")
     return 0
 
 
@@ -235,8 +238,8 @@ def cmd_oracle_ghz(args) -> int:
         "fidelity": report.fidelity,
     }
     if args.dump_state:
-        _write(dump_state_json(report.evolved) + "\n", args.dump_state)
-    _write(json.dumps(out, indent=2) + "\n", args.out)
+        _write(args.dump_state, dump_state_json(report.evolved) + "\n")
+    _write(args.out, json.dumps(out, indent=2) + "\n")
     return 0
 
 
@@ -255,7 +258,7 @@ def cmd_calibrate(args) -> int:
         "amplitude": amplitude,
         "window": list(window),
     }
-    _write(json.dumps(report, indent=2) + "\n", args.out)
+    _write(args.out, json.dumps(report, indent=2) + "\n")
     return 0
 
 

@@ -8,7 +8,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exceptions import NumericalContractError, SpinkickError
-from .flux import FluxResult, max_alpha, propagate
+from .flux import FluxResult, _format_table, max_alpha, propagate
 from .pulses import DEFAULT_STEPS_PER_PI, FAMILIES, default_steps
 
 _CLAMP_TOL = 1e-9
@@ -114,10 +114,10 @@ def run_sweep(spec: SweepSpec) -> List[SweepRow]:
 
 
 def sweep_csv(rows: Sequence[SweepRow]) -> str:
-    row = ",".join(["%.17g"] * 5) + "\n"
-    return "param,max_alpha,t_star,fidelity_max,fidelity_at_tau\n" + "".join(
-        row % (r.param_value, r.max_alpha, r.t_star, r.fidelity_max, r.fidelity_at_tau)
-        for r in rows)
+    """CSV export of sweep rows, each value as '%.17g' prints it (failed rows read nan)."""
+    table = np.array([(r.param_value, r.max_alpha, r.t_star, r.fidelity_max, r.fidelity_at_tau)
+                      for r in rows], dtype=float).reshape(-1, 5)
+    return _format_table("param,max_alpha,t_star,fidelity_max,fidelity_at_tau\n", table)
 
 
 def joint_read_time(result: FluxResult) -> Tuple[float, float, float]:

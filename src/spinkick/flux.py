@@ -18,6 +18,7 @@ expm_series call, and the product then advances window by window.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
@@ -32,12 +33,18 @@ from .pulses import PulseSchedule, default_steps, step_grid, window_amplitudes
 _MAX_SCALE_DEPTH = 60
 _MAX_NORM = 0.5 * 2.0 ** _MAX_SCALE_DEPTH
 # floats propagate holds at once, the (times, dim) coefficient table plus the (dim, dim)
-# running product: 512 MiB, so N = 200 on its default grid ((160,001 + 400) x 400 =
-# 64.16 M) still runs and anything larger is refused before allocation
+# running product, and with period reuse the period map and two (n, dim, 3) column
+# stacks: 512 MiB, so N = 200 on its default grid (sin^6: (160,001 + 400) x 400 +
+# (400 + 6 x 400) x 400 = 65.28 M) still runs and anything larger is refused before allocation
 MAX_TABLE_FLOATS = 2 ** 26
 # floats of window maps one block of mixed windows holds (max(1, _BLOCK_FLOATS // dim**2)
 # windows), and of each temporary of rotate_run's row chunks: 128 KiB
 _BLOCK_FLOATS = 2 ** 14
+# values per pass of _format_table: a pass's two dozen temporaries of this length stay in cache
+_FORMAT_CHUNK = 2 ** 13
+# k = floor(log10|x|) of a finite nonzero double, -324 to 308, one correction step either way
+_K = range(-325, 310)
+_SPLIT = 2.0 ** 27 + 1  # Veltkamp's constant: c = x*_SPLIT splits x into c - (c - x) and the rest
 _THETA = np.array([(2.0 ** -53 * math.factorial(m + 1)) ** (1.0 / (m + 1)) for m in range(18)])
 
 
@@ -172,9 +179,11 @@ def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int 
     period p is P M^p Q_j e_seed, P being the product of the windows before
     the first period.  Runs end at the head, period and tail boundaries.
 
-    The step cap (step_grid) and the table cap, which counts the coefficient
-    table and the running product, are checked before the generator is
-    built, so a refused run never builds the operator graph.
+    The step cap (step_grid) and the table cap are checked before the
+    generator is built, so a refused run never builds the operator graph.
+    The table cap counts the coefficient table and the running product, and
+    where the grid repeats a period (_period_grid) also the period map and
+    one period's two column stacks, partial and product @ partial.
     """
     dim = 2 * schedule.n_sites  # the closure of X_N has 2N strings
     if not 1 <= seed <= dim:
@@ -182,9 +191,11 @@ def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int 
     if n_steps is None:
         n_steps = default_steps(schedule)
     grid = step_grid(schedule, n_steps)
-    if (len(grid) + dim) * dim > MAX_TABLE_FLOATS:
-        raise ResourceCapError(f"{len(grid)} times x {dim} coefficients and the {dim} x {dim} "
-                               f"product exceed the cap of {MAX_TABLE_FLOATS} floats")
+    _, n, count = _period_grid(schedule, grid)
+    stacks = f", the period map and two {n} x {dim} x 3 column stacks" if count else ""
+    if (len(grid) + dim) * dim + bool(count) * (dim + 2 * n * 3) * dim > MAX_TABLE_FLOATS:
+        raise ResourceCapError(f"{len(grid)} times x {dim} coefficients, the {dim} x {dim} "
+                               f"product{stacks} exceed the cap of {MAX_TABLE_FLOATS} floats")
     k = chain(schedule.n_sites)
     # site-1 rows found by operator: their canonical indices swap with the parity of N
     rows = [next(i for i, p in enumerate(k.nodes) if p[0] == op) for op in "XY"]
@@ -252,7 +263,16 @@ def _period_windows(schedule: PulseSchedule, grid: np.ndarray, amps: np.ndarray)
     1e-9*max|amp| (cancellation in the sin^m antiderivative lets later periods
     drift by about 1e-12).  Otherwise count is 0 and every window is stepped.
     """
-    none = len(amps), 0, 0
+    first, n, count = _period_grid(schedule, grid)
+    rows = amps[first:first + count * n].reshape(count, n, 3)
+    if count and np.abs(rows - rows[0]).max() > 1e-9 * np.abs(amps).max():
+        count = 0
+    return (first, n, count) if count else (len(amps), 0, 0)
+
+
+def _period_grid(schedule: PulseSchedule, grid: np.ndarray) -> Tuple[int, int, int]:
+    """(first, n, count) of _period_windows from the grid alone, before any amplitude."""
+    none = len(grid) - 1, 0, 0
     structure = schedule.periodicity()
     if structure is None:
         return none
@@ -264,11 +284,9 @@ def _period_windows(schedule: PulseSchedule, grid: np.ndarray, amps: np.ndarray)
     if min(n, count) < 1 or end >= len(grid) or abs(grid[first] - t0) > tol:
         return none
     points = grid[first:end].reshape(count, n) - period * np.arange(count)[:, None]
-    rows = amps[first:end].reshape(count, n, 3)
-    if (np.abs(points - points[0]).max() > tol or abs(grid[end] - t0 - count * period) > tol
-            or np.abs(rows - rows[0]).max() > 1e-9 * np.abs(amps).max()):
+    if np.abs(points - points[0]).max() > tol or abs(grid[end] - t0 - count * period) > tol:
         return none
-    return first, n, count
+    return int(first), int(n), count
 
 
 def max_alpha(result: FluxResult, node: int) -> Tuple[float, float]:
@@ -327,10 +345,198 @@ def information_flux(result: FluxResult, rest_state: SiteAssignment) -> Dict[Tup
 
 
 def series_csv(result: FluxResult) -> str:
-    """CSV export: t, alpha_1..alpha_dim, norm."""
+    """CSV export: t, alpha_1..alpha_dim, norm, each value as CPython's '%.17g' prints it.
+
+    The text is byte for byte what '%.17g' gives value by value.  The 17
+    digits of a finite nonzero x are the integer nearest |x|*10^(16-k), with
+    k = floor(log10|x|) moved once if that product lands off [1e16, 1e17).
+    The product is formed as an unevaluated double-double (_scaled) whose
+    error is below 1e-14 units of the 17th digit, so the rounded integer is
+    certain unless the product's fraction lies within 1e-12 of 1/2.  Such
+    near-ties (true ties included), digits still off the decade after the
+    one correction, and inf or NaN are printed by CPython's own '%.17g'.
+    """
     dim = result.alphas.shape[1]
     header = "t," + ",".join(f"alpha_{j + 1}" for j in range(dim)) + ",norm\n"
-    row = ",".join(["%.17g"] * (dim + 2)) + "\n"
-    norms = result.norms()
-    return header + "".join(row % (t, *alphas.tolist(), norm) for t, alphas, norm in
-                            zip(result.times, result.alphas, norms))
+    return _format_table(header, result.times, result.alphas, result.norms())
+
+
+def _format_table(header: str, *columns: np.ndarray) -> str:
+    """header, then the columns side by side as CSV rows of '%.17g' values (see series_csv).
+
+    Each column is a (rows,) or (rows, m) array.  The rows are formatted in
+    passes of about _FORMAT_CHUNK values, each pass one str, and the header
+    and the passes are joined once.
+    """
+    rows = len(columns[0])
+    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+    newline = np.arange(width) == width - 1
+    per = max(1, _FORMAT_CHUNK // width)
+    parts = [header]
+    for lo in range(0, rows, per):
+        block = np.column_stack([c[lo:lo + per] for c in columns])
+        parts.append(_format_values(block.ravel(), np.tile(newline, len(block))))
+    return "".join(parts)
+
+
+def _format_values(values: np.ndarray, newline: np.ndarray) -> str:
+    """'%.17g' of each value followed by ',' or, where newline is set, by a newline.
+
+    Each value becomes a 40-byte record of ten 4-byte words from lookup
+    tables: the sign with any '0.000' head (two words), six words of three
+    digits (the last holds two and a dropped zero), each carrying the
+    decimal point if it falls there, and the exponent with the separator
+    (two words).  Unused bytes are NUL and are dropped from the joined
+    records in one pass.  A fallback value's CPython text overwrites its
+    record.
+    """
+    _, words, blocks, zeros, heads, tails = _format_tables()
+    n, k, fallback = _digits(values)
+    group = np.empty((6, len(n)), np.intp)  # digits 0-2, 3-5, ..., 15-16 and a zero
+    top = n // 10 ** 8
+    for at, part, unit in ((0, top, 1000), (3, n - 10 ** 8 * top, 100)):  # 9 and 8 digits
+        mid = part // unit
+        group[at + 2] = (part - unit * mid) * (1000 // unit)
+        group[at] = mid // 1000
+        group[at + 1] = mid - 1000 * group[at]
+    z = zeros.take(group)
+    trailing, run = z[5] - 1, z[5] == 3  # trailing zero digits of n, less the padding zero
+    for j in range(4, -1, -1):
+        trailing += run * z[j]
+        run &= z[j] == 3
+    fixed = (k >= -4) & (k < 17)  # %g's choice of notation
+    last = np.where(fixed & (k > 0), k, 0)  # the last digit before the point
+    point = np.where(fixed & (k < 0), 17, last)  # the digit the point follows; 17: in the head
+    mode = 18 * point + np.maximum(17 - trailing, last + 1)  # and the first digit dropped
+    record = np.empty((len(n), 10), np.uint32)
+    record[:, 2:8] = words.take(group + blocks.take(mode, axis=1)).T
+    wide = record.view(np.uint64)
+    wide[:, 0] = heads.take(np.signbit(values) + 2 * np.where(fixed & (k < 0), -k, 0))
+    wide[:, 4] = tails.take(2 * np.where(fixed, 0, k - _K.start + 1) + newline)
+    raw = record.view(np.uint8)
+    for i in np.flatnonzero(fallback).tolist():
+        text = b"%.17g" % values[i]
+        raw[i, :32] = 0
+        raw[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return record.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _digits(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, k, fallback): |x| rounds to n*10^(k-16), n a 17-digit integer, unless x is in fallback.
+
+    k = floor(log10|x|) is moved once where |x|*10^(16-k) (_scaled) lies
+    off [1e16, 1e17) (_off_decade), and n is that product rounded to an
+    integer, or 10^16 with k one up where it rounds to 10^17.  A value is in
+    fallback where the product's fraction lies within 1e-12 of 1/2, where
+    the product is still off the decade, and where it is inf or NaN.  Zero
+    has n = 0 and k = 0, as have the fallback values.
+    """
+    scale = _format_tables()[0]
+    a = np.abs(values)
+    finite = np.isfinite(a)
+    rounded = finite & (a > 0)
+    a = np.where(rounded, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = _scaled(a, k, scale)
+    off = _off_decade(hi, lo)
+    moved = np.flatnonzero(off)
+    k[moved] += off[moved]
+    hi[moved], lo[moved] = _scaled(a[moved], k[moved], scale)
+    off[moved] = _off_decade(hi[moved], lo[moved])
+    whole = np.floor(lo + 0.5)
+    fallback = ~finite | (off != 0) | (np.abs(lo - whole) > 0.5 - 1e-12)
+    n = hi.astype(np.int64) + whole.astype(np.int64)  # hi is a whole number above 2^53
+    carry = n == 10 ** 17  # rounded up into the next decade: its first digits
+    n[carry] = 10 ** 16
+    k += carry
+    n[~rounded | fallback] = 0
+    k[~rounded | fallback] = 0
+    return n, k, fallback
+
+
+def _scaled(a: np.ndarray, k: np.ndarray, scale: tuple) -> Tuple[np.ndarray, np.ndarray]:
+    """a*10^(16-k) as an unevaluated sum hi + lo, to within 1e-14 while it is below 2e17.
+
+    With 10^(16-k) = 2^e (h + l) from the tables, b = a*2^e is exact, and
+    Dekker's two-product (Numer. Math. 18, 224, 1971) splits b and h into
+    26-bit halves, so that b*h is exactly hi plus the first part of lo.  The
+    rest of the error is b*l (|l| <= 2^-53) rounded once and added once,
+    below 2e-15 and 4e-15, and b times the part that h + l leaves out of
+    10^(16-k)/2^e, below 3e-15.
+    """
+    exps, parts = scale
+    i = k - _K.start
+    h, l, hh, hl = parts.take(i, axis=1)
+    b = np.ldexp(a, exps.take(i))
+    c = b * _SPLIT
+    bh = c - (c - b)
+    bl = b - bh
+    hi = b * h
+    lo = ((bh * hh - hi) + bh * hl + bl * hh) + bl * hl + b * l
+    return hi, lo
+
+
+def _off_decade(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """-1, 0 or 1 as hi + lo lies below 1e16, within the decade or above 1e17, by a margin of 1e-12.
+
+    The margin lies far above the error of hi + lo, and far below the 0.05
+    by which a product just under 1e16 must fall short before its 17 digits
+    one decade down differ from 1e16.  So a product taken into the decade
+    from within the margin rounds to the right digits: 1e16 from below, and
+    from either side of 1e17 the carry to 1e16 one decade up.
+    """
+    return ((hi - 1e17) + lo >= 1e-12).astype(np.intp) - ((hi - 1e16) + lo < -1e-12)
+
+
+@functools.cache  # built on the first export, not at import
+def _format_tables() -> tuple:
+    """The lookup tables of _format_values.
+
+    scale: for each k of _K, e and (h, l, Veltkamp's halves of h) with
+    10^(16-k) = 2^e (h + l), h in [1, 2] correctly rounded and l the correctly
+    rounded rest, both from exact integers.
+    words: a 3-digit group's 4 bytes, indexed by (digits dropped from its
+    end, byte of its point or 0, group).
+    blocks: per group, the offset of its words for each mode, that is
+    18 * (the digit the point follows) + (the first digit dropped).
+    zeros: trailing zero digits of each group (000 has 3).
+    heads and tails: the sign with any '0.000', and the exponent with the separator.
+    """
+    exps, parts = [], []
+    for k in _K:
+        p = 16 - k
+        num, den = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
+        e = num.bit_length() - den.bit_length()
+        num, den = (num, den << e) if e >= 0 else (num << -e, den)
+        if num < den:
+            e, num = e - 1, num << 1  # num / den = 10^p / 2^e in [1, 2)
+        h = num / den  # an int quotient is correctly rounded
+        parts.append((h, (num * 2 ** 52 - int(h * 2 ** 52) * den) / (den * 2 ** 52)))
+        exps.append(e)
+    h, l = np.array(parts).T
+    c = h * _SPLIT
+    hh = c - (c - h)
+    scale = np.array(exps, dtype=np.intc), np.array([h, l, hh, h - hh])
+    text = np.frombuffer(b"".join(b"%03d" % g for g in range(1000)), np.uint8).reshape(1000, 3)
+    words = np.zeros((4, 4, 1000, 4), np.uint8)
+    for dropped in range(4):
+        kept = text.copy()
+        kept[:, 3 - dropped:] = 0
+        for at in range(4):
+            words[dropped, at][:, [b for b in range(4) if b != at]] = kept
+            if at:
+                words[dropped, at][:, at] = ord(".")
+    j, point, drop = np.ogrid[:6, :18, :18]
+    at = point + 1 - 3 * j  # byte of group j's word that the point takes
+    shown = (point < 17) & (drop > point + 1) & (at >= 1) & (at <= 3)  # a digit follows it
+    dropped = np.clip(3 * j + 3 - drop, 0, 3)
+    blocks = ((dropped * 4 + np.where(shown, at, 0)) * 1000).reshape(6, -1)
+    zeros = np.logical_and.accumulate(text[:, ::-1] == ord("0"), axis=1).sum(axis=1)
+    heads = [sign + (b"0." + b"0" * (x - 1) if x else b"") for x in range(5) for sign in (b"", b"-")]
+    tails = [x + sep for x in [b""] + [b"e%+03d" % k for k in _K] for sep in (b",", b"\n")]
+    return scale, words.view(np.uint32).ravel(), blocks, zeros, _packed(heads, 8), _packed(tails, 8)
+
+
+def _packed(texts, width: int) -> np.ndarray:
+    """Byte strings NUL-padded to width bytes each, one unsigned integer per string."""
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), f"u{width}")

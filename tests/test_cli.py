@@ -527,6 +527,8 @@ class TestDeterminism:
         assert main(argv + ["--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+        assert main(argv + ["--out", "-"]) == 0  # meta lines and series, written in turn
+        assert capsys.readouterr().out == a.read_text()
 
     def test_monte_carlo_is_seed_deterministic(self, capsys):
         argv = ["oracle", "fidelity", "--n-sites", "2", "--scheme", "JxJy",
@@ -547,9 +549,11 @@ def _fresh_python(code: str) -> str:
 
 
 def test_cli_import_loads_no_scipy():
+    # nor builds the export's lookup tables, which the first export builds, nor imports fractions
     code = ("import sys, spinkick.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    assert _fresh_python(code) == "[]"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'fractions')), "
+            "spinkick.flux._format_tables.cache_info().currsize)")
+    assert _fresh_python(code) == "[] 0"
 
 
 def test_cli_import_builds_no_parser():

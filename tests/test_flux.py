@@ -1,4 +1,5 @@
 import copy
+import decimal
 import math
 import re
 import tracemalloc
@@ -244,6 +245,14 @@ class TestClosedFormWindows:
         assert sum(calls) == mixed
 
 
+class _Admitted(Exception):
+    """Raised in place of building the generator, once the caps have let a run through."""
+
+
+def _admitted(n_sites):
+    raise _Admitted(n_sites)
+
+
 class TestResourceCap:
     def test_table_cap_refuses_before_allocating(self, monkeypatch):
         # 10 times x 10 coefficients and the 10 x 10 running product
@@ -264,9 +273,25 @@ class TestResourceCap:
     @pytest.mark.parametrize("make", [lambda: sin_power_schedule(200, 6),
                                       lambda: square_schedule(200, 8.0),
                                       lambda: ideal_schedule(200, "JxB")])
-    def test_n200_default_grid_fits(self, make):
-        s = make()
-        assert (len(step_grid(s, default_steps(s))) + 400) * 400 <= flux.MAX_TABLE_FLOATS
+    def test_n200_default_grid_fits(self, make, monkeypatch):
+        # sin^6 holds 65.28 M floats with its period stacks, square 66.24 M: propagate
+        # passes both caps and goes on to build the generator
+        monkeypatch.setattr(flux, "chain", _admitted)
+        with pytest.raises(_Admitted):
+            propagate(make())
+
+    def test_table_cap_counts_the_period_map_and_stacks(self, monkeypatch):
+        s = sin_power_schedule(5, 6)
+        grid = step_grid(s, default_steps(s))
+        dim, (_, n, count) = 10, flux._period_grid(s, grid)
+        assert count > 0
+        held = (len(grid) + dim) * dim + (dim + 2 * n * 3) * dim
+        monkeypatch.setattr(flux, "MAX_TABLE_FLOATS", held)
+        assert len(propagate(s).times) == len(grid)  # at the cap
+        monkeypatch.setattr(flux, "MAX_TABLE_FLOATS", held - 1)
+        monkeypatch.setattr(flux, "chain", _admitted)
+        with pytest.raises(ResourceCapError, match=f"the period map and two {n} x 10 x 3 column"):
+            propagate(s)
 
 
 class TestPropagate:
@@ -417,11 +442,12 @@ class TestPropagate:
             tracemalloc.stop()
         assert peak <= 1.5 * (r.times.nbytes + r.alphas.nbytes + r.transfer.nbytes)
 
-    @pytest.mark.parametrize("make,n_steps", [
-        (lambda: ideal_schedule(300, "JxJy"), 1),  # runs only: rotate_run's row chunks
-        (lambda: sin_power_schedule(64, 6), 300),  # 2N = 128: one map per block, every window stepped
-    ], ids=["JxJy-300", "sin6-64"])
-    def test_peak_is_the_table_two_products_and_one_block(self, make, n_steps):
+    @pytest.mark.parametrize("make,n_steps,periodic", [
+        (lambda: ideal_schedule(300, "JxJy"), 1, False),  # runs only: rotate_run's row chunks
+        (lambda: sin_power_schedule(64, 6), 300, False),  # 2N = 128: one map per block, every window stepped
+        (lambda: sin_power_schedule(64, 6), 2560, True),  # 128 periods of 20 windows reused
+    ], ids=["JxJy-300", "sin6-64", "sin6-64-periodic"])
+    def test_peak_is_the_table_two_products_and_one_block(self, make, n_steps, periodic):
         s = make()
         dim = 2 * s.n_sites
         assert max(1, flux._BLOCK_FLOATS // dim ** 2) == 1
@@ -432,14 +458,18 @@ class TestPropagate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert _reused_periods(s, n_steps) == 0
+        _, n, count = flux._period_windows(s, r.times, window_amplitudes(s, r.times))
+        assert (count > 0) == periodic
         # per time: t, alphas and the transfer block; per window: amplitudes and channel
         table = len(r.times) * (1 + dim + 4 + 3 + 1) * 8
         products = 2 * dim * dim * 8  # the running product and its successor (or the period map)
+        # with periods reused, the table cap's count: a third product, and one period's
+        # column stacks partial and product @ partial (3.81 MB here, against 3.72 MB without)
+        period = (dim + 2 * n * 3) * dim * 8 if periodic else 0
         # one block: its generators, maps, scaled copy and two series buffers, or the
         # temporaries of one row chunk of rotate_run, each at most _BLOCK_FLOATS floats
         block = 5 * flux._BLOCK_FLOATS * 8
-        assert peak <= table + products + block
+        assert peak <= table + products + period + block
 
     def test_default_steps_scale(self):
         s = sin_power_schedule(5, 6)  # total time 10*pi
@@ -678,3 +708,109 @@ class TestReporting:
         assert set(report) == {"max_alpha_N", "t_star", "fidelity"}
         assert report["max_alpha_N"] == pytest.approx(-1.0, abs=1e-12)
         assert report["fidelity"] == pytest.approx(1.0, abs=1e-12)
+
+
+def _printf_rows(table):
+    """The reference export: CPython's format(v, '.17g') value by value."""
+    return "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in table.tolist())
+
+
+def _mismatches(text, expected):
+    """The first differing lines of two texts, so that a failure does not diff megabytes."""
+    got, want = text.split("\n"), expected.split("\n")
+    return [(a, b) for a, b in zip(got, want) if a != b][:3] + [len(got) - len(want)] * (len(got) != len(want))
+
+
+def _row_route(result):
+    """series_csv as it was formatted row by row: the reference for its text and its memory."""
+    dim = result.alphas.shape[1]
+    header = "t," + ",".join(f"alpha_{j + 1}" for j in range(dim)) + ",norm\n"
+    row = ",".join(["%.17g"] * (dim + 2)) + "\n"
+    return header + "".join(row % (t, *alphas.tolist(), norm) for t, alphas, norm in
+                            zip(result.times, result.alphas, result.norms()))
+
+
+def _edge_values():
+    """Finite nonzero doubles at the formatter's edges, both signs."""
+    tiny = 2.2250738585072014e-308  # the smallest normal double
+    values = [5e-324, np.nextafter(5e-324, 1), tiny, np.nextafter(tiny, 0), np.nextafter(tiny, 1),
+              1.7976931348623157e308, 1.0 / 3.0, 2.0 / 3.0, 0.1, 123456789.0, 2.0 ** 53 + 2]
+    # powers of ten and their neighbours: log10 rounds to the wrong decade next to them;
+    # 1e-4/1e-5 and 1e16/1e17 are %g's switch points, 1e99/1e100 its exponent widths
+    for k in [*range(-30, 31), -300, 300, 308, -308, -99, -100, 99, 100, -323]:
+        p = float(f"1e{k}")
+        values += [p, np.nextafter(p, 0), np.nextafter(p, np.inf), np.nextafter(np.nextafter(p, 0), 0)]
+    values += [9.9999999999999995e-5, 1.0000000000000001e-4, 9999999999999998.0, 99999999999999984.0]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+def _ties():
+    """Exact ties at 17 digits: doubles m*2^-e whose 18 significant digits end in 5."""
+    ties = []
+    for e in range(3, 26):
+        five = 5 ** e
+        lo = -(-10 ** 17 // five) | 1  # m*5^e has 18 digits; odd m ends it in 5
+        for m in range(lo, min(10 ** 18 // five, 2 ** 53), 2)[:6]:
+            if m % 5:
+                ties.append(m * 2.0 ** -e)
+    ties = np.array(ties)
+    return np.concatenate([ties, -ties])
+
+
+def _is_tie(value):
+    """Whether a double lies exactly halfway between two 17-digit decimals."""
+    digits = decimal.Decimal(abs(value)).normalize().as_tuple().digits
+    return len(digits) == 18 and digits[-1] == 5
+
+
+class TestFormatTable:
+    @settings(max_examples=300, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64), width=st.integers(1, 7))
+    def test_matches_cpython_on_any_bit_pattern(self, bits, width):
+        # NaN, +-inf, subnormals and +-0.0 included
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        table = values[:len(values) // width * width].reshape(-1, width)
+        assert not _mismatches(flux._format_table("h\n", table), "h\n" + _printf_rows(table))
+
+    @pytest.mark.parametrize("values", [_edge_values(), _ties(), np.array([0.0, -0.0, np.inf, -np.inf, np.nan])],
+                             ids=["edges", "ties", "zero-inf-nan"])
+    def test_matches_cpython_at_the_edges(self, values):
+        table = values.reshape(-1, 1)
+        assert not _mismatches(flux._format_table("", table), _printf_rows(table))
+        assert not _mismatches(flux._format_table("", table.T), _printf_rows(table.T))
+
+    def test_matches_cpython_on_a_random_sample(self):
+        rng = np.random.default_rng(20261019)
+        bits = rng.integers(0, 2 ** 64, 50_000, dtype=np.uint64).view(np.float64)
+        scaled = rng.standard_normal(50_000) * 10.0 ** rng.integers(-40, 40, 50_000)
+        table = np.concatenate([bits, scaled]).reshape(-1, 50)  # several passes of _FORMAT_CHUNK
+        assert not _mismatches(flux._format_table("", table), _printf_rows(table))
+
+    def test_digits_are_exact_and_only_ties_fall_back(self):
+        # the digit route itself, not the fallback, prints every edge value: k's correction
+        # lands each on its decade, and only exact ties are left to CPython
+        values = np.concatenate([_edge_values(), _ties()])
+        n, k, fallback = flux._digits(values)
+        ties = [_is_tie(v) for v in values.tolist()]
+        assert fallback.tolist() == ties and all(ties[len(_edge_values()):])
+        exact = [format(abs(v), ".16e").split("e") for v, tie in zip(values.tolist(), ties) if not tie]
+        assert n[~fallback].tolist() == [int(m.replace(".", "")) for m, _ in exact]
+        assert k[~fallback].tolist() == [int(x) for _, x in exact]
+
+    def test_sin6_export_is_the_row_route_with_no_fallback_and_a_lower_peak(self):
+        r = propagate(sin_power_schedule(25, 6))
+        table = np.column_stack([r.times, r.alphas, r.norms()])
+        assert not flux._digits(table.ravel())[2].any()
+        series_csv(propagate(ideal_schedule(3, "JxJy"), 1))  # the tables are built
+        texts, peaks = [], []
+        for export in (series_csv, _row_route):
+            tracemalloc.start()
+            try:
+                texts.append(export(r))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert not _mismatches(*texts)
+        # 47.98 MB against 48.93 MB: the passes and their joined text, no third copy
+        assert peaks[0] <= peaks[1]
