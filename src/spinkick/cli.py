@@ -30,14 +30,17 @@ from .pulses import (DEFAULT_STEPS_PER_PI, QUARTER_TURN, boxcar_shape, calibrate
 
 
 def _write(path: str, *texts: str):
-    """Write the texts in turn to path, or to stdout for '-', without joining them first."""
+    """Write the texts in turn to path, or to stdout for '-', without joining them first.
+
+    Each text goes out in slices of 2^20 characters, so no encoded copy of a
+    whole text is made: a large one would grow the heap by its size.
+    """
+    slices = (text[at:at + 2 ** 20] for text in texts for at in range(0, len(text), 2 ** 20))
     if path == "-":
-        for text in texts:
-            sys.stdout.write(text)
+        sys.stdout.writelines(slices)
         return
     with open(path, "w") as f:
-        for text in texts:
-            f.write(text)
+        f.writelines(slices)
 
 
 def _meta_lines(command: str, params: dict) -> str:

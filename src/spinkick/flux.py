@@ -242,13 +242,14 @@ def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int 
         channel = np.where(on.sum(axis=1) <= 1, on.argmax(axis=1), -1)  # the channel on, else -1
         first, n, count = _period_windows(schedule, grid, amps)
         product = step(np.eye(dim), 0, first, history, 1)
-        partial = np.empty((n, dim, len(cols)))  # Q_j[:, cols], never the (n, dim, dim) stack
-        period = [(partial.reshape(n, dim * len(cols)), lambda s: s.reshape(s.shape[:-2] + (-1,)))]
-        period_map = step(np.eye(dim), first, first + n, period, -first)
-        for p in range(count):
-            at = first + p * n + 1
-            put(history, slice(at, at + n), product @ partial)
-            product = product @ period_map
+        if count:  # with no period reused, no period map: it would be an idle identity
+            partial = np.empty((n, dim, len(cols)))  # Q_j[:, cols], never the (n, dim, dim) stack
+            period = [(partial.reshape(n, dim * len(cols)), lambda s: s.reshape(s.shape[:-2] + (-1,)))]
+            period_map = step(np.eye(dim), first, first + n, period, -first)
+            for p in range(count):
+                at = first + p * n + 1
+                put(history, slice(at, at + n), product @ partial)
+                product = product @ period_map
         step(product, first + count * n, len(amps), history, 1)
     return FluxResult(times=grid, alphas=alphas, transfer=transfer, seed=seed,
                       nodes=k.nodes, n_sites=k.n_sites)
@@ -364,18 +365,37 @@ def series_csv(result: FluxResult) -> str:
 def _format_table(header: str, *columns: np.ndarray) -> str:
     """header, then the columns side by side as CSV rows of '%.17g' values (see series_csv).
 
-    Each column is a (rows,) or (rows, m) array.  The rows are formatted in
-    passes of about _FORMAT_CHUNK values, each pass one str, and the header
-    and the passes are joined once.
+    Each column is a (rows,) or (rows, m) array.  A row whose values after
+    the first are bitwise those of the row above (compared as uint64, so
+    -0.0 and each NaN payload count as their own) reuses that row's text:
+    only its first value is formatted, and one str.replace appends the text
+    after the previous line's first comma.  Other rows are formatted in
+    passes of about _FORMAT_CHUNK values.  Each pass is one str, and the
+    header and the passes are joined once.
     """
     rows = len(columns[0])
     width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
     newline = np.arange(width) == width - 1
     per = max(1, _FORMAT_CHUNK // width)
+    first = columns[0] if columns[0].ndim == 1 else columns[0][:, 0]
+    same = np.zeros(rows, bool)
+    same[1:] = width > 1
+    for j, c in enumerate(columns):
+        bits = (c[:, None] if c.ndim == 1 else c)[:, int(j == 0):].view(np.uint64)
+        same[1:] &= (bits[1:] == bits[:-1]).all(axis=1)
+    starts = np.flatnonzero(same != np.r_[True, same[:-1]]).tolist()  # stretches of either kind
     parts = [header]
-    for lo in range(0, rows, per):
-        block = np.column_stack([c[lo:lo + per] for c in columns])
-        parts.append(_format_values(block.ravel(), np.tile(newline, len(block))))
+    for lo, hi in zip(starts, starts[1:] + [rows]):
+        if not same[lo]:
+            for at in range(lo, hi, per):
+                block = np.column_stack([c[at:min(at + per, hi)] for c in columns])
+                parts.append(_format_values(block.ravel(), np.tile(newline, len(block))))
+            continue
+        line = parts[-1][parts[-1].rfind("\n", 0, -1) + 1:]  # the last line of the stretch above
+        tail = line[line.index(","):]
+        for at in range(lo, hi, _FORMAT_CHUNK):
+            values = first[at:min(at + _FORMAT_CHUNK, hi)]
+            parts.append(_format_values(values, np.ones(len(values), bool)).replace("\n", tail))
     return "".join(parts)
 
 

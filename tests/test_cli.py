@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import spinkick
+from spinkick import cli
 from spinkick.cli import main
 
 
@@ -529,6 +531,23 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
         assert main(argv + ["--out", "-"]) == 0  # meta lines and series, written in turn
         assert capsys.readouterr().out == a.read_text()
+
+    @pytest.mark.parametrize("texts", [("a" * (2 ** 20 + 7),), ("",), ("# meta\n", "", "x" * 2 ** 21, "y\n")],
+                             ids=["one-slice-more", "empty", "several"])
+    def test_write_gives_the_joined_text_in_slices(self, monkeypatch, tmp_path, texts):
+        target = tmp_path / "out.csv"
+        cli._write(str(target), *texts)
+        assert target.read_bytes() == "".join(texts).encode()
+        sizes = []  # each write encodes one slice, never a whole text
+
+        class Out(io.StringIO):
+            def write(self, text):
+                sizes.append(len(text))
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", Out())
+        cli._write("-", *texts)
+        assert sys.stdout.getvalue() == "".join(texts) and max(sizes, default=0) <= 2 ** 20
 
     def test_monte_carlo_is_seed_deterministic(self, capsys):
         argv = ["oracle", "fidelity", "--n-sites", "2", "--scheme", "JxJy",

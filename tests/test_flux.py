@@ -471,6 +471,23 @@ class TestPropagate:
         block = 5 * flux._BLOCK_FLOATS * 8
         assert peak <= table + products + period + block
 
+    def test_no_period_map_without_a_reused_period(self):
+        # ideal kicks reuse no period, so no idle identity stands in as the period map: the
+        # table, one product and rotate_run's temporaries, 5.12 MB against 7.24 MB with it
+        s = ideal_schedule(300, "JxJy")
+        dim = 2 * s.n_sites
+        propagate(s, 1)  # build chain(N) outside the measurement
+        tracemalloc.start()
+        try:
+            r = propagate(s, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = len(r.times) * (1 + dim + 4 + 3 + 1) * 8
+        # a row chunk's five temporaries, and as much again for the (dim, 3) column arrays
+        block = 2 * 5 * flux._BLOCK_FLOATS * 8
+        assert peak <= table + dim * dim * 8 + block  # 5.66 MB
+
     def test_default_steps_scale(self):
         s = sin_power_schedule(5, 6)  # total time 10*pi
         assert default_steps(s) == 4000
@@ -758,6 +775,16 @@ def _ties():
     return np.concatenate([ties, -ties])
 
 
+# bit patterns for tables with many equal rows: +-0.0, NaNs of four payloads, +-inf,
+# subnormals, a tie at 17 digits and two plain values.  _TWIN swaps +0.0 with -0.0 and
+# pairs the NaNs: twins are equal as floats (or both NaN) but differ in their bits.
+_ZEROS = [0x0, 0x8000000000000000]
+_NANS = [0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001]
+_POOL_BITS = [*_ZEROS, *_NANS, *np.array([np.inf, -np.inf, 5e-324, -2.225073858507201e-308,
+                                          _ties()[0], 1.0 / 3.0, -0.5]).view(np.uint64).tolist()]
+_TWIN = {**{b: b for b in _POOL_BITS}, **dict(zip(_ZEROS, _ZEROS[::-1])), **dict(zip(_NANS, _NANS[::-1]))}
+
+
 def _is_tie(value):
     """Whether a double lies exactly halfway between two 17-digit decimals."""
     digits = decimal.Decimal(abs(value)).normalize().as_tuple().digits
@@ -779,6 +806,34 @@ class TestFormatTable:
         table = values.reshape(-1, 1)
         assert not _mismatches(flux._format_table("", table), _printf_rows(table))
         assert not _mismatches(flux._format_table("", table.T), _printf_rows(table.T))
+
+    @settings(max_examples=300, deadline=None)
+    @given(width=st.integers(1, 7), data=st.data())
+    def test_repeated_rows_match_cpython(self, width, data):
+        # rows take their values after the first from at most three patterns or their twins,
+        # so equal rows are common, and so are rows that differ only in +-0.0 or a NaN payload
+        bit = st.sampled_from(_POOL_BITS)
+        tails = data.draw(st.lists(st.lists(bit, min_size=width - 1, max_size=width - 1),
+                                   min_size=1, max_size=3))
+        picks = data.draw(st.lists(st.tuples(bit, st.integers(0, len(tails) - 1), st.booleans()),
+                                   max_size=64))
+        bits = np.array([[first, *(_TWIN[b] if twin else b for b in tails[i])]
+                         for first, i, twin in picks], dtype=np.uint64)
+        table = bits.reshape(-1, width).view(np.float64)
+        expected = "h\n" + _printf_rows(table)
+        assert not _mismatches(flux._format_table("h\n", table), expected)
+        assert not _mismatches(flux._format_table("h\n", table[:, 0], table[:, 1:]), expected)
+
+    def test_square_export_reuses_repeated_rows(self, monkeypatch):
+        # X_N commutes with the XX bonds: only the B pulses move the coefficients, and 19,400
+        # of the 20,049 rows repeat the row above after t
+        r = propagate(square_schedule(25, 16.0))
+        given = []
+        format_values = flux._format_values
+        monkeypatch.setattr(flux, "_format_values", lambda v, nl: given.append(len(v)) or format_values(v, nl))
+        assert not _mismatches(series_csv(r), _row_route(r))
+        assert r.alphas.size + 2 * len(r.times) == 1_042_548
+        assert sum(given) <= 60_000
 
     def test_matches_cpython_on_a_random_sample(self):
         rng = np.random.default_rng(20261019)
