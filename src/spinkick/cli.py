@@ -14,13 +14,15 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import Iterable, Union
 
 import numpy as np
 
 from . import __version__
 from .exceptions import NumericalContractError, ResourceCapError
-from .fidelity import SweepSpec, average_fidelity, joint_read_time, run_sweep, summary, sweep_csv
-from .flux import information_flux, propagate, series_csv
+from .fidelity import SweepSpec, _sweep_table, average_fidelity, joint_read_time, run_sweep, summary
+# series_csv stays importable here: spinbench's traced run wraps spinkick.cli.series_csv
+from .flux import _series_table, information_flux, propagate, series_csv  # noqa: F401
 from .graph import build_graph, export_dot, graph_json
 from .oracle import (SiteAssignment, dump_state_json, ghz_compare, heisenberg_expectation,
                      monte_carlo_average_fidelity, product_state)
@@ -29,13 +31,17 @@ from .pulses import (DEFAULT_STEPS_PER_PI, QUARTER_TURN, boxcar_shape, calibrate
                      sin_power_schedule, square_schedule)
 
 
-def _write(path: str, *texts: str):
+def _write(path: str, *texts: Union[str, Iterable[str]]):
     """Write the texts in turn to path, or to stdout for '-', without joining them first.
 
-    Each text goes out in slices of 2^20 characters, so no encoded copy of a
-    whole text is made: a large one would grow the heap by its size.
+    A text is a str or an iterable of str pieces, such as the pass-by-pass
+    CSV of _series_table; each piece is written as it arrives, so only the
+    piece at hand is held.  Each piece goes out in slices of 2^20
+    characters, so no encoded copy of a whole piece is made: a large one
+    would grow the heap by its size.
     """
-    slices = (text[at:at + 2 ** 20] for text in texts for at in range(0, len(text), 2 ** 20))
+    pieces = (piece for text in texts for piece in ((text,) if isinstance(text, str) else text))
+    slices = (piece[at:at + 2 ** 20] for piece in pieces for at in range(0, len(piece), 2 ** 20))
     if path == "-":
         sys.stdout.writelines(slices)
         return
@@ -117,7 +123,7 @@ def cmd_simulate(args) -> int:
     seed = 1 if args.seed_node == "X" else n + 1
     result = propagate(schedule, n_steps, seed=seed)
     meta = {"n_steps": n_steps, "seed_node": args.seed_node, **_schedule_params(schedule)}
-    _write(args.out, _meta_lines("simulate", meta), series_csv(result))
+    _write(args.out, _meta_lines("simulate", meta), _series_table(result))
     report = {"meta": meta, **summary(result)}
     text = json.dumps(report, indent=2) + "\n"
     if args.summary:
@@ -171,11 +177,10 @@ def cmd_sweep(args) -> int:
     meta = {"family": spec.schedule_family, "sweep": spec.swept_parameter,
             "fixed": json.dumps(spec.fixed, sort_keys=True),
             "steps_per_pi": spec.steps_per_pi}
-    text = _meta_lines("sweep", meta) + sweep_csv(rows)
     failures = [r for r in rows if r.error is not None]
-    for r in failures:
-        text += f"# row {r.param_value:g} failed: {type(r.error).__name__}: {r.error}\n"
-    _write(args.out, text)
+    notes = "".join(f"# row {r.param_value:g} failed: {type(r.error).__name__}: {r.error}\n"
+                    for r in failures)
+    _write(args.out, _meta_lines("sweep", meta), _sweep_table(rows), notes)
     if failures:
         raise failures[0].error
     return 0

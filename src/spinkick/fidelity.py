@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,7 +114,15 @@ def run_sweep(spec: SweepSpec) -> List[SweepRow]:
 
 
 def sweep_csv(rows: Sequence[SweepRow]) -> str:
-    """CSV export of sweep rows, each value as '%.17g' prints it (failed rows read nan)."""
+    """CSV export of sweep rows, each value as '%.17g' prints it (failed rows read nan).
+
+    This joins the pieces of _sweep_table; the CLI writes those pieces as they come.
+    """
+    return "".join(_sweep_table(rows))
+
+
+def _sweep_table(rows: Sequence[SweepRow]) -> Iterator[str]:
+    """The pieces of sweep_csv's text in order: its header, then one str per pass."""
     table = np.array([(r.param_value, r.max_alpha, r.t_star, r.fidelity_max, r.fidelity_at_tau)
                       for r in rows], dtype=float).reshape(-1, 5)
     return _format_table("param,max_alpha,t_star,fidelity_max,fidelity_at_tau\n", table)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -356,22 +356,32 @@ def series_csv(result: FluxResult) -> str:
     certain unless the product's fraction lies within 1e-12 of 1/2.  Such
     near-ties (true ties included), digits still off the decade after the
     one correction, and inf or NaN are printed by CPython's own '%.17g'.
+
+    This joins the pieces of _series_table into one str; the CLI writes
+    those pieces to its file as they come and never holds the whole text.
     """
+    return "".join(_series_table(result))
+
+
+def _series_table(result: FluxResult) -> Iterator[str]:
+    """The pieces of series_csv's text in order: its header, then one str per pass."""
     dim = result.alphas.shape[1]
     header = "t," + ",".join(f"alpha_{j + 1}" for j in range(dim)) + ",norm\n"
     return _format_table(header, result.times, result.alphas, result.norms())
 
 
-def _format_table(header: str, *columns: np.ndarray) -> str:
-    """header, then the columns side by side as CSV rows of '%.17g' values (see series_csv).
+def _format_table(header: str, *columns: np.ndarray) -> Iterator[str]:
+    """Yield header, then the columns side by side as CSV rows of '%.17g' values (see series_csv).
 
     Each column is a (rows,) or (rows, m) array.  A row whose values after
     the first are bitwise those of the row above (compared as uint64, so
     -0.0 and each NaN payload count as their own) reuses that row's text:
     only its first value is formatted, and one str.replace appends the text
     after the previous line's first comma.  Other rows are formatted in
-    passes of about _FORMAT_CHUNK values.  Each pass is one str, and the
-    header and the passes are joined once.
+    passes of about _FORMAT_CHUNK values.  Each pass is one str, yielded as
+    soon as it is made, so a caller that writes the pieces as they come
+    holds no more than the last pass and the next; "".join of the pieces
+    is the whole text.
     """
     rows = len(columns[0])
     width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
@@ -384,19 +394,21 @@ def _format_table(header: str, *columns: np.ndarray) -> str:
         bits = (c[:, None] if c.ndim == 1 else c)[:, int(j == 0):].view(np.uint64)
         same[1:] &= (bits[1:] == bits[:-1]).all(axis=1)
     starts = np.flatnonzero(same != np.r_[True, same[:-1]]).tolist()  # stretches of either kind
-    parts = [header]
+    piece = header
+    yield piece
     for lo, hi in zip(starts, starts[1:] + [rows]):
         if not same[lo]:
             for at in range(lo, hi, per):
                 block = np.column_stack([c[at:min(at + per, hi)] for c in columns])
-                parts.append(_format_values(block.ravel(), np.tile(newline, len(block))))
+                piece = _format_values(block.ravel(), np.tile(newline, len(block)))
+                yield piece
             continue
-        line = parts[-1][parts[-1].rfind("\n", 0, -1) + 1:]  # the last line of the stretch above
+        line = piece[piece.rfind("\n", 0, -1) + 1:]  # the last line of the stretch above
         tail = line[line.index(","):]
         for at in range(lo, hi, _FORMAT_CHUNK):
             values = first[at:min(at + _FORMAT_CHUNK, hi)]
-            parts.append(_format_values(values, np.ones(len(values), bool)).replace("\n", tail))
-    return "".join(parts)
+            piece = _format_values(values, np.ones(len(values), bool)).replace("\n", tail)
+            yield piece
 
 
 def _format_values(values: np.ndarray, newline: np.ndarray) -> str:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ import pytest
 import spinkick
 from spinkick import cli
 from spinkick.cli import main
+from spinkick.flux import propagate, series_csv
+from spinkick.pulses import ideal_schedule, sin_power_schedule
 
 
 def run(capsys, *argv):
@@ -532,12 +535,18 @@ class TestDeterminism:
         assert main(argv + ["--out", "-"]) == 0  # meta lines and series, written in turn
         assert capsys.readouterr().out == a.read_text()
 
-    @pytest.mark.parametrize("texts", [("a" * (2 ** 20 + 7),), ("",), ("# meta\n", "", "x" * 2 ** 21, "y\n")],
-                             ids=["one-slice-more", "empty", "several"])
+    @pytest.mark.parametrize("texts", [("a" * (2 ** 20 + 7),), ("",), ("# meta\n", "", "x" * 2 ** 21, "y\n"),
+                                       ("# meta\n", ("h\n", "", "x" * (2 ** 20 + 3), "y\n"), "# end\n")],
+                             ids=["one-slice-more", "empty", "several", "generator"])
     def test_write_gives_the_joined_text_in_slices(self, monkeypatch, tmp_path, texts):
+        # a tuple stands for a generator of its pieces, which checks before it yields each
+        # piece that everything ahead of it is written: a writer that collects first fails
+        joined = "".join("".join(text) for text in texts)
+        files = []
+        monkeypatch.setattr(cli, "open", lambda *a: files.append(open(*a)) or files[-1], raising=False)
         target = tmp_path / "out.csv"
-        cli._write(str(target), *texts)
-        assert target.read_bytes() == "".join(texts).encode()
+        cli._write(str(target), *_lazy(texts, lambda: files[0].tell()))
+        assert target.read_bytes() == joined.encode()
         sizes = []  # each write encodes one slice, never a whole text
 
         class Out(io.StringIO):
@@ -546,8 +555,8 @@ class TestDeterminism:
                 return super().write(text)
 
         monkeypatch.setattr(sys, "stdout", Out())
-        cli._write("-", *texts)
-        assert sys.stdout.getvalue() == "".join(texts) and max(sizes, default=0) <= 2 ** 20
+        cli._write("-", *_lazy(texts, lambda: len(sys.stdout.getvalue())))
+        assert sys.stdout.getvalue() == joined and max(sizes, default=0) <= 2 ** 20
 
     def test_monte_carlo_is_seed_deterministic(self, capsys):
         argv = ["oracle", "fidelity", "--n-sites", "2", "--scheme", "JxJy",
@@ -556,6 +565,42 @@ class TestDeterminism:
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+
+def _lazy(texts, written):
+    """texts with each tuple of pieces made a generator that asserts, before it yields a
+    piece, that written() counts every character ahead of that piece."""
+    def pieces(parts, ahead):
+        for part in parts:
+            assert written() == ahead
+            ahead += len(part)
+            yield part
+
+    out, ahead = [], 0
+    for text in texts:
+        out.append(text if isinstance(text, str) else pieces(text, ahead))
+        ahead += len("".join(text))
+    return out
+
+
+def test_simulate_streams_its_csv_without_holding_the_text(tmp_path):
+    # sin^6 at N = 25: a 23.9 MB CSV over an 8.8 MB FluxResult.  Joined passes hold the text
+    # twice, a peak about 2 CSVs above the result; written pass by pass it is about 0.35
+    csv_path, summary_path = tmp_path / "s25.csv", tmp_path / "s25.json"
+    series_csv(propagate(ideal_schedule(3, "JxJy"), 1))  # the tables are built
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--n-sites", "25", "--sin-m", "6",
+                     "--out", str(csv_path), "--summary", str(summary_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    r = propagate(sin_power_schedule(25, 6))
+    text = series_csv(r)
+    meta = json.loads(summary_path.read_text())["meta"]
+    assert csv_path.read_bytes() == (cli._meta_lines("simulate", meta) + text).encode()
+    result_bytes, csv_bytes = r.times.nbytes + r.alphas.nbytes + r.transfer.nbytes, len(text)
+    assert peak < result_bytes + csv_bytes / 2
 
 
 def _fresh_python(code: str) -> str:

@@ -798,14 +798,14 @@ class TestFormatTable:
         # NaN, +-inf, subnormals and +-0.0 included
         values = np.array(bits, dtype=np.uint64).view(np.float64)
         table = values[:len(values) // width * width].reshape(-1, width)
-        assert not _mismatches(flux._format_table("h\n", table), "h\n" + _printf_rows(table))
+        assert not _mismatches("".join(flux._format_table("h\n", table)), "h\n" + _printf_rows(table))
 
     @pytest.mark.parametrize("values", [_edge_values(), _ties(), np.array([0.0, -0.0, np.inf, -np.inf, np.nan])],
                              ids=["edges", "ties", "zero-inf-nan"])
     def test_matches_cpython_at_the_edges(self, values):
         table = values.reshape(-1, 1)
-        assert not _mismatches(flux._format_table("", table), _printf_rows(table))
-        assert not _mismatches(flux._format_table("", table.T), _printf_rows(table.T))
+        assert not _mismatches("".join(flux._format_table("", table)), _printf_rows(table))
+        assert not _mismatches("".join(flux._format_table("", table.T)), _printf_rows(table.T))
 
     @settings(max_examples=300, deadline=None)
     @given(width=st.integers(1, 7), data=st.data())
@@ -821,8 +821,8 @@ class TestFormatTable:
                          for first, i, twin in picks], dtype=np.uint64)
         table = bits.reshape(-1, width).view(np.float64)
         expected = "h\n" + _printf_rows(table)
-        assert not _mismatches(flux._format_table("h\n", table), expected)
-        assert not _mismatches(flux._format_table("h\n", table[:, 0], table[:, 1:]), expected)
+        assert not _mismatches("".join(flux._format_table("h\n", table)), expected)
+        assert not _mismatches("".join(flux._format_table("h\n", table[:, 0], table[:, 1:])), expected)
 
     def test_square_export_reuses_repeated_rows(self, monkeypatch):
         # X_N commutes with the XX bonds: only the B pulses move the coefficients, and 19,400
@@ -840,7 +840,7 @@ class TestFormatTable:
         bits = rng.integers(0, 2 ** 64, 50_000, dtype=np.uint64).view(np.float64)
         scaled = rng.standard_normal(50_000) * 10.0 ** rng.integers(-40, 40, 50_000)
         table = np.concatenate([bits, scaled]).reshape(-1, 50)  # several passes of _FORMAT_CHUNK
-        assert not _mismatches(flux._format_table("", table), _printf_rows(table))
+        assert not _mismatches("".join(flux._format_table("", table)), _printf_rows(table))
 
     def test_digits_are_exact_and_only_ties_fall_back(self):
         # the digit route itself, not the fallback, prints every edge value: k's correction
