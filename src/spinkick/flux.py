@@ -150,7 +150,13 @@ class FluxResult:
         return self.alphas[:, node - 1]
 
     def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.alphas, axis=1)
+        """Row norms in blocks of about _BLOCK_FLOATS floats: each row is reduced on its own,
+        so this is np.linalg.norm(alphas, axis=1) bit for bit, without its (T, dim) squares."""
+        out = np.empty(len(self.alphas))
+        rows = max(1, _BLOCK_FLOATS // self.alphas.shape[1])
+        for lo in range(0, len(out), rows):
+            out[lo:lo + rows] = np.linalg.norm(self.alphas[lo:lo + rows], axis=1)
+        return out
 
 
 def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int = 1) -> FluxResult:
@@ -191,14 +197,14 @@ def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int 
     if n_steps is None:
         n_steps = default_steps(schedule)
     grid = step_grid(schedule, n_steps)
-    _, n, count = _period_grid(schedule, grid)
+    _, n, count = period = _period_grid(schedule, grid)
     stacks = f", the period map and two {n} x {dim} x 3 column stacks" if count else ""
     if (len(grid) + dim) * dim + bool(count) * (dim + 2 * n * 3) * dim > MAX_TABLE_FLOATS:
         raise ResourceCapError(f"{len(grid)} times x {dim} coefficients, the {dim} x {dim} "
                                f"product{stacks} exceed the cap of {MAX_TABLE_FLOATS} floats")
     k = chain(schedule.n_sites)
-    # site-1 rows found by operator: their canonical indices swap with the parity of N
-    rows = [next(i for i, p in enumerate(k.nodes) if p[0] == op) for op in "XY"]
+    # the site-1 X and Y rows: nodes N and 2N, X first for odd N and Y first for even N
+    rows = [k.n_sites - 1, dim - 1] if k.n_sites % 2 else [dim - 1, k.n_sites - 1]
     cols = [seed - 1, 0, k.n_sites]  # the seed's column, then the X_N and Y_N seeds
     per_block = max(1, _BLOCK_FLOATS // dim ** 2)
     alphas = np.zeros((len(grid), dim))
@@ -240,7 +246,7 @@ def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int 
         amps = window_amplitudes(schedule, grid)
         on = amps != 0.0
         channel = np.where(on.sum(axis=1) <= 1, on.argmax(axis=1), -1)  # the channel on, else -1
-        first, n, count = _period_windows(schedule, grid, amps)
+        first, n, count = _period_windows(period, amps)
         product = step(np.eye(dim), 0, first, history, 1)
         if count:  # with no period reused, no period map: it would be an idle identity
             partial = np.empty((n, dim, len(cols)))  # Q_j[:, cols], never the (n, dim, dim) stack
@@ -255,16 +261,16 @@ def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int 
                       nodes=k.nodes, n_sites=k.n_sites)
 
 
-def _period_windows(schedule: PulseSchedule, grid: np.ndarray, amps: np.ndarray) -> Tuple[int, int, int]:
+def _period_windows(period: Tuple[int, int, int], amps: np.ndarray) -> Tuple[int, int, int]:
     """(first, n, count): window first + p*n + j repeats window first + j for p < count.
 
     The schedule's declared periodicity is used only where it holds on this
-    grid: each period's points equal period 0's shifted by p*period to within
-    the grid's own 1e-12*T, and its amplitude rows equal period 0's to within
+    grid: period is _period_grid's (first, n, count), whose grid points repeat,
+    and each period's amplitude rows must equal period 0's to within
     1e-9*max|amp| (cancellation in the sin^m antiderivative lets later periods
     drift by about 1e-12).  Otherwise count is 0 and every window is stepped.
     """
-    first, n, count = _period_grid(schedule, grid)
+    first, n, count = period
     rows = amps[first:first + count * n].reshape(count, n, 3)
     if count and np.abs(rows - rows[0]).max() > 1e-9 * np.abs(amps).max():
         count = 0

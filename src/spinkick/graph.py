@@ -72,16 +72,11 @@ class Matching(NamedTuple):
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """The (Jx, Jy, B) generators of the chain as matchings on the canonical node basis.
-
-    scatter holds, per channel, the flat indices of K_c in a dim x dim matrix
-    (both edge directions) and the matching entries there.
-    """
+    """The (Jx, Jy, B) generators of the chain as matchings on the canonical node basis."""
 
     n_sites: int
     nodes: Tuple[str, ...]
     matchings: Tuple[Matching, ...]  # edge arrays of (Jx, Jy, B)
-    scatter: Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
     @property
     def dim(self) -> int:
@@ -91,53 +86,41 @@ class GeneratorMatrix:
         """The dense generator jx*K_Jx + jy*K_Jy + b*K_B in a fresh matrix.
 
         Amplitude arrays of one shape S give a fresh S + (dim, dim) stack,
-        one generator per entry.  A channel at amplitude 0 writes +0.0, so
-        no entry is -0.0.
+        one generator per entry, scattered straight from the matchings.  A
+        channel at amplitude 0 writes +0.0, so no entry is -0.0.
         """
         amps = np.array([jx, jy, b], dtype=float)
-        out = np.zeros(amps.shape[1:] + (self.dim * self.dim,))
-        for amp, (index, sign) in zip(amps, self.scatter):
-            out[..., index] = amp[..., None] * sign + 0.0  # -0.0 + 0.0 is +0.0, all else kept
-        return out.reshape(amps.shape[1:] + (self.dim, self.dim))
-
-
-def _nodes(n_sites: int) -> Tuple[str, ...]:
-    """The 2N ladder strings in canonical order."""
-    if n_sites < 2:
-        raise ValueError("need at least 2 sites")
-    nodes = []
-    for i in range(2 * n_sites):
-        family, p = divmod(i, n_sites)  # p = pos - 1, the number of Z's after the lead
-        nodes.append("I" * (n_sites - 1 - p) + "XY"[(family + p) % 2] + "Z" * p)
-    return tuple(nodes)
-
-
-def _matchings(n_sites: int) -> Tuple[Matching, ...]:
-    """(Jx, Jy, B) edges of the ladder, each channel's edges in ascending a."""
-    i = np.arange(n_sites - 1)
-    a = np.concatenate([i, n_sites + i])
-    jx = np.concatenate([i % 2, (i + 1) % 2]) == 1  # bond i of family f is Jx when i + f is odd
-    rung = np.arange(n_sites)
-    return (Matching(a[jx], a[jx] + 1, np.ones(jx.sum(), dtype=int)),
-            Matching(a[~jx], a[~jx] + 1, -np.ones((~jx).sum(), dtype=int)),
-            Matching(rung, rung + n_sites, 1 - 2 * (rung % 2)))
+        out = np.zeros(amps.shape[1:] + (self.dim, self.dim))
+        for amp, m in zip(amps[..., None], self.matchings):
+            entry = amp * m.sign + 0.0  # -0.0 + 0.0 is +0.0, all else kept
+            out[..., m.a, m.b] = entry
+            out[..., m.b, m.a] = 0.0 - entry  # -entry, but +0.0 where entry is 0
+        return out
 
 
 @functools.lru_cache(maxsize=32)
 def chain(n_sites: int) -> GeneratorMatrix:
     """The generators of the N-site chain, built once per N and shared, so read-only.
 
-    For an edge a -> b with sign s the coefficient flow is
+    The 2N ladder strings come in canonical order, and each channel's edges
+    in ascending a.  For an edge a -> b with sign s the coefficient flow is
     alpha_b' += -2*c*s*alpha_a and alpha_a' += +2*c*s*alpha_b, i.e.
     K[b,a] = -s and K[a,b] = +s on that channel.
     """
-    matchings = _matchings(n_sites)
-    dim = 2 * n_sites
-    scatter = tuple((np.concatenate([m.a * dim + m.b, m.b * dim + m.a]),
-                     np.concatenate([m.sign, -m.sign]).astype(float)) for m in matchings)
-    for array in (*(a for m in matchings for a in m), *(a for pair in scatter for a in pair)):
+    if n_sites < 2:
+        raise ValueError("need at least 2 sites")
+    nodes = tuple("I" * (n_sites - 1 - p) + "XY"[(family + p) % 2] + "Z" * p  # p Z's after the lead
+                  for family in range(2) for p in range(n_sites))
+    i = np.arange(n_sites - 1)
+    a = np.concatenate([i, n_sites + i])
+    jx = np.concatenate([i % 2, (i + 1) % 2]) == 1  # bond i of family f is Jx when i + f is odd
+    rung = np.arange(n_sites)
+    matchings = (Matching(a[jx], a[jx] + 1, np.ones(jx.sum(), dtype=int)),
+                 Matching(a[~jx], a[~jx] + 1, -np.ones((~jx).sum(), dtype=int)),
+                 Matching(rung, rung + n_sites, 1 - 2 * (rung % 2)))
+    for array in (x for m in matchings for x in m):
         array.setflags(write=False)
-    return GeneratorMatrix(n_sites, _nodes(n_sites), matchings, scatter)
+    return GeneratorMatrix(n_sites, nodes, matchings)
 
 
 def build_graph(n_sites: int, channels: Sequence[str] = CHANNELS) -> OperatorGraph:
@@ -145,11 +128,11 @@ def build_graph(n_sites: int, channels: Sequence[str] = CHANNELS) -> OperatorGra
 
     Kept nodes stay in canonical order and edges are sorted by (a, b, channel).
     """
-    nodes = _nodes(n_sites)
+    k = chain(n_sites)
     bad = [c for c in channels if c not in CHANNELS]
     if bad or not channels:
         raise ValueError(f"invalid channel selection {tuple(channels)}")
-    edges = [(a, b, ch, s) for ch, m in zip(CHANNELS, _matchings(n_sites)) if ch in channels
+    edges = [(a, b, ch, s) for ch, m in zip(CHANNELS, k.matchings) if ch in channels
              for a, b, s in zip(m.a.tolist(), m.b.tolist(), m.sign.tolist())]
     neighbours: Dict[int, List[int]] = {}
     for a, b, _, _ in edges:
@@ -165,7 +148,7 @@ def build_graph(n_sites: int, channels: Sequence[str] = CHANNELS) -> OperatorGra
     index = {old: new for new, old in enumerate(keep)}
     edge_list = tuple(GraphEdge(index[a], index[b], ch, s)
                       for a, b, ch, s in sorted(edges) if a in reached)
-    return OperatorGraph(n_sites, tuple(nodes[i] for i in keep), edge_list)
+    return OperatorGraph(n_sites, tuple(k.nodes[i] for i in keep), edge_list)
 
 
 def export_dot(g: OperatorGraph) -> str:

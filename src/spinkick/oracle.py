@@ -9,12 +9,12 @@ and streams the states, so final_state and heisenberg_expectation hold one at
 a time.  A window with one channel on is a product of commuting two-level
 rotations, applied in closed form; any other window is a Taylor series whose
 depth and degree a norm bound fixes up front.  Up to 10 sites each Taylor
-window keeps H in ELL form, a column table of the N index maps and a value
-table built once per window, and applies it with one gather; larger chains
-apply H bond by bond, where the ELL temporaries outgrow the cache.  Runs that
-report every grid time (evolve_state, heisenberg_expectation) step every
-window; an end-state run (final_state) steps each run of equal single-channel
-windows as one kick.
+window keeps H in ELL form, the chain's column table of the N index maps
+and a value table built once per window, and applies it with one gather;
+larger chains apply H bond by bond, where the ELL temporaries outgrow the
+cache.  Runs that report every grid time (evolve_state,
+heisenberg_expectation) step every window; an end-state run (final_state)
+steps each run of equal single-channel windows as one kick.
 """
 from __future__ import annotations
 
@@ -31,6 +31,9 @@ from .pauli import SiteAssignment
 from .pulses import PulseSchedule, default_steps, ideal_schedule, step_grid, window_amplitudes
 
 RESOURCE_CAP_SITES = 14  # 2^14 amplitudes
+# amplitudes evolve_state stores, times x 2^N: 512 MiB of complex values, as the flux table
+# cap; sin^6 on its default grid is stored up to N = 11 (18.0 M) and refused from 12 (39.3 M)
+MAX_STATE_AMPLITUDES = 2 ** 25
 
 _NORM_TOL = 1e-10
 _MAX_DEPTH = 20  # at most 2^20 Taylor substeps per window
@@ -67,19 +70,19 @@ def _too_many_substeps(theta: float) -> NumericalContractError:
 class _ChainAction:
     """Matrix-free H = jx*sum XX + jy*sum YY + b*sum Z on the 2^N amplitudes.
 
-    Each bond term flips two bits of the basis index: flips[k] is the index map of bond
-    k + 1, and yy_signs[k] the sign that YY adds to that flip; diag_z is sum Z.  apply()
-    adds the terms bond by bond, two or three numpy calls per bond.  Each bond keeps its
-    own arrays: as rows of one (N-1, 2^N) table they cost apply() 2-4% per window at
-    N = 11 and 12.
+    Each bond term flips two bits of the basis index.  Row k of the column table columns
+    (N, 2^N) is the index map of bond k (flips is rows 1..N-1), row 0 the identity; row
+    k - 1 of yy_signs is the sign that YY adds to bond k's flip; diag_z is sum Z.  apply()
+    and kick() add the terms bond by bond over row views of these tables, two or three numpy
+    calls per bond, as fast as with one array per bond (a sin^6 column to t = 2*pi, best of
+    7 interleaved runs on 2 cores: 0.428 against 0.417 s at N = 11, 0.764 against 0.771 s
+    at N = 12, 1.631 against 1.642 s at N = 13).
 
-    Taylor windows on at most _GATHER_MAX_SITES sites use the ELL form instead: a column
-    table (N, 2^N) whose row 0 is the identity index and rows 1..N-1 are the flips, and a
-    complex value table of the same shape whose row 0 is b*diag_z and row k is
+    Taylor windows on at most _GATHER_MAX_SITES sites use the ELL form instead: the column
+    table and a complex value table of the same shape whose row 0 is b*diag_z and row k is
     jx + jy*yy_signs.  taylor() builds the value table once per window, and gather()
     applies H as (values * psi[columns]).sum(axis=0), three numpy calls whatever N.  The
     rows are summed in apply()'s order, so with jx or jy zero the two agree bit for bit.
-    The column table is built on the first Taylor window, so kick-only runs build none.
 
     On small chains Python dispatch sets the cost: a whole sin^6 column takes half as
     long with the gather at N = 8 and 9, and 0.63 as long at N = 10.  From 11 sites the
@@ -90,22 +93,14 @@ class _ChainAction:
 
     def __init__(self, n_sites: int):
         self.n_sites = n_sites
-        dim = 1 << n_sites
-        idx = np.arange(dim)
-        self.diag_z = np.zeros(dim)
-        for i in range(n_sites):
-            bit = (idx >> (n_sites - 1 - i)) & 1
-            self.diag_z += 1.0 - 2.0 * bit
-        self.flips = []
-        self.yy_signs = []
-        for i in range(n_sites - 1):
-            mask = (1 << (n_sites - 1 - i)) | (1 << (n_sites - 2 - i))
-            self.flips.append(idx ^ mask)
-            b1 = (idx >> (n_sites - 1 - i)) & 1
-            b2 = (idx >> (n_sites - 2 - i)) & 1
-            # <s^mask|YY|s> = -1 when the bond bits of s agree, +1 otherwise
-            self.yy_signs.append(np.where(b1 == b2, -1.0, 1.0))
-        self.columns = self._stacked_signs = None  # the ELL tables, built by values()
+        idx = np.arange(1 << n_sites)
+        masks = 1 << np.arange(n_sites - 1, -1, -1)[:, None]  # row i: the bit of site i + 1
+        bits = (idx & masks) != 0
+        self.diag_z = (1.0 - 2.0 * bits).sum(axis=0)  # sums of +-1, exact in any order
+        self.columns = np.vstack([idx, idx ^ (masks[:-1] | masks[1:])])
+        self.flips = self.columns[1:]
+        # <flip of s|YY|s> = -1 when the bond bits of s agree, +1 otherwise
+        self.yy_signs = np.where(bits[:-1] == bits[1:], -1.0, 1.0)
 
     def apply(self, psi: np.ndarray, jx: float, jy: float, b: float) -> np.ndarray:
         out = b * self.diag_z * psi if b else np.zeros_like(psi)
@@ -117,16 +112,13 @@ class _ChainAction:
         return out
 
     def values(self, jx: float, jy: float, b: float) -> np.ndarray:
-        """The ELL value table of H for gather(); builds the column table on first use.
+        """The ELL value table of H for gather().
 
         A bond flip keeps the agreement of the bond bits, so yy_signs is the same at s
         and at its flip, and row k may carry jx + jy*sign for both terms of bond k."""
-        if self.columns is None:
-            self.columns = np.stack([np.arange(1 << self.n_sites), *self.flips])
-            self._stacked_signs = np.stack(self.yy_signs)
         values = np.empty(self.columns.shape, dtype=complex)  # cast once, not per product
         values[0] = b * self.diag_z
-        values[1:] = jx + jy * self._stacked_signs
+        values[1:] = jx + jy * self.yy_signs
         return values
 
     def gather(self, psi: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -255,10 +247,17 @@ def evolve_state(psi0: np.ndarray, schedule: PulseSchedule,
 
     Step boundaries include all schedule discontinuities and each window uses
     the window-averaged amplitudes, mirroring the coefficient propagation.
+    The states fill one (times, 2^N) array; a series past MAX_STATE_AMPLITUDES
+    is refused before the first window.
     """
-    windows = _windows(psi0, schedule, n_steps, schedule.total_time)
-    times, states = zip(*_step_windows(psi0, *windows))
-    return np.array(times), np.stack(states)
+    grid, amplitudes = _windows(psi0, schedule, n_steps, schedule.total_time)
+    if len(grid) * len(psi0) > MAX_STATE_AMPLITUDES:
+        raise ResourceCapError(f"{len(grid)} times x {len(psi0)} amplitudes exceed the cap of "
+                               f"{MAX_STATE_AMPLITUDES} stored amplitudes")
+    states = np.empty((len(grid), len(psi0)), dtype=complex)
+    for i, (_, psi) in enumerate(_step_windows(psi0, grid, amplitudes)):
+        states[i] = psi
+    return grid, states
 
 
 def final_state(psi0: np.ndarray, schedule: PulseSchedule,

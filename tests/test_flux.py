@@ -240,7 +240,7 @@ class TestClosedFormWindows:
         propagate(s)
         grid = step_grid(s, default_steps(s))
         amps = window_amplitudes(s, grid)
-        first, n, _ = flux._period_windows(s, grid, amps)
+        first, n, _ = flux._period_windows(flux._period_grid(s, grid), amps)
         assert np.count_nonzero(amps[first:first + n, 2]) == mixed
         assert sum(calls) == mixed
 
@@ -367,6 +367,20 @@ class TestPropagate:
         r = propagate(sin_power_schedule(4, 6), 400)
         np.testing.assert_allclose(r.norms(), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("make", [lambda: sin_power_schedule(25, 6), lambda: square_schedule(25, 16.0),
+                                      lambda: ideal_schedule(25, "JxB")], ids=["sin6", "square-16", "JxB"])
+    def test_norms_are_the_whole_table_norm_without_its_squares(self, make):
+        r = propagate(make())
+        want = np.linalg.norm(r.alphas, axis=1)
+        tracemalloc.start()
+        try:
+            got = r.norms()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert peak < got.nbytes + 4 * flux._BLOCK_FLOATS * 8  # the output and one block's temporaries
+
     def test_kick_confinement(self):
         # a single Jy kick only moves weight between the seed and its partner
         n = 4
@@ -458,7 +472,8 @@ class TestPropagate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        _, n, count = flux._period_windows(s, r.times, window_amplitudes(s, r.times))
+        _, n, count = flux._period_windows(flux._period_grid(s, r.times),
+                                           window_amplitudes(s, r.times))
         assert (count > 0) == periodic
         # per time: t, alphas and the transfer block; per window: amplitudes and channel
         table = len(r.times) * (1 + dim + 4 + 3 + 1) * 8
@@ -510,7 +525,8 @@ def _window_loop(schedule):
 
 def _reused_periods(schedule, n_steps):
     grid = step_grid(schedule, n_steps)
-    return flux._period_windows(schedule, grid, window_amplitudes(schedule, grid))[2]
+    period = flux._period_grid(schedule, grid)
+    return flux._period_windows(period, window_amplitudes(schedule, grid))[2]
 
 
 class _Ramped(SinPowerSchedule):

@@ -35,8 +35,8 @@ class TestCanonicalOrder:
             assert chain(n).nodes == nodes
 
     def test_transfer_indices(self):
-        # the end-to-end transfer coefficients sit at fixed slots N and 2N
-        for n in (2, 3, 4, 7):
+        # the end-to-end transfer coefficients sit at fixed slots N and 2N, X first for odd N
+        for n in range(2, 60):
             g = build_graph(n)
             assert str(g.nodes[n - 1]) == ("X" if n % 2 == 1 else "Y") + "Z" * (n - 1)
             assert str(g.nodes[2 * n - 1]) == ("Y" if n % 2 == 1 else "X") + "Z" * (n - 1)
@@ -143,8 +143,8 @@ class TestEdgeSigns:
         assert chain(4) is k
         want = chain.__wrapped__(4)  # a fresh build, past the cache
         assert k.nodes == want.nodes
-        got = [a for m in k.matchings for a in m] + [a for pair in k.scatter for a in pair]
-        ref = [a for m in want.matchings for a in m] + [a for pair in want.scatter for a in pair]
+        got = [a for m in k.matchings for a in m]
+        ref = [a for m in want.matchings for a in m]
         for array, array_ref in zip(got, ref):
             np.testing.assert_array_equal(array, array_ref)
             with pytest.raises(ValueError):

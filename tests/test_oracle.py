@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,11 +175,10 @@ class TestWindowStep:
         amps = [(-magnitude if negative else magnitude) if c == channel else 0.0
                 for c in ("Jx", "Jy", "B")]
         chain = oracle._ChainAction(n)
-        chain.apply = chain.gather = lambda *args, **kwargs: pytest.fail(
-            "a single-channel window applied H")
+        chain.apply = chain.gather = chain.values = lambda *args, **kwargs: pytest.fail(
+            "a single-channel window applied H or built its value table")
         got = chain.step(psi, dt, *amps)
-        del chain.apply, chain.gather  # the Taylor reference below needs the real ones
-        assert chain.columns is None  # no ELL table for a kick
+        del chain.apply, chain.gather, chain.values  # the Taylor reference below needs the real ones
         theta = dt * magnitude * (n if channel == "B" else n - 1)
         want = expm(-1j * dt * oracles.chain_hamiltonian(n, *amps)) @ psi
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
@@ -246,11 +246,11 @@ class TestGather:
     @pytest.mark.parametrize("n,used,unused", [(2, "gather", "apply"), (10, "gather", "apply"),
                                                (11, "apply", "gather")])
     def test_the_state_size_picks_the_form(self, monkeypatch, n, used, unused):
-        calls = _count_calls(monkeypatch, "apply", "gather")
+        calls = _count_calls(monkeypatch, "apply", "gather", "values")
         chain = oracle._ChainAction(n)
         chain.step(_random_state(n, n), 0.05, 0.3, 0.2, 0.5)
         assert calls[used] > 0 and calls[unused] == 0
-        assert (chain.columns is None) == (used == "apply")
+        assert (calls["values"] == 0) == (used == "apply")  # a value table only for the gather
 
 
 class TestConservationLaws:
@@ -704,6 +704,31 @@ class TestResourceCap:
     def test_evolution_capped(self):
         with pytest.raises(ResourceCapError):
             monte_carlo_average_fidelity(_zero_schedule(16), 10, seed=1)
+
+    def test_evolve_state_caps_the_stored_states(self, monkeypatch):
+        psi0 = product_state(SiteAssignment.parse("+,0,0"))
+        s = sin_power_schedule(3, 6)
+        times, states = evolve_state(psi0, s, 40)
+        monkeypatch.setattr(oracle, "MAX_STATE_AMPLITUDES", len(times) * 8)
+        np.testing.assert_array_equal(evolve_state(psi0, s, 40)[1], states)  # at the cap
+        monkeypatch.setattr(oracle, "MAX_STATE_AMPLITUDES", len(times) * 8 - 1)
+        monkeypatch.setattr(oracle, "_step_windows", lambda *args: pytest.fail("stepped"))
+        with pytest.raises(ResourceCapError, match=f"^{len(times)} times x 8 amplitudes exceed"):
+            evolve_state(psi0, s, 40)
+
+    def test_sin6_default_grid_is_stored_up_to_eleven_sites(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_step_windows", lambda *args: pytest.fail("stepped"))
+        psi0 = product_state(SiteAssignment.uniform(12))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match="^9601 times x 4096 amplitudes exceed the "
+                                                       f"cap of {2 ** 25} stored amplitudes$"):
+                evolve_state(psi0, sin_power_schedule(12, 6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20  # the grid and its amplitude table, not the 629 MB series
+        assert 8801 * 2 ** 11 <= oracle.MAX_STATE_AMPLITUDES  # N = 11 on its default grid
 
 
 class TestDumpStateJson:
