@@ -190,7 +190,7 @@ def cmd_oracle_compare(args) -> int:
     schedule = _make_schedule(args)
     n = schedule.n_sites
     n_steps = _steps_for(args, schedule)
-    result = propagate(schedule, n_steps)
+    result = propagate(schedule, n_steps, series=False)
     rest = SiteAssignment.uniform(n - 1, "Z", 1)
     predicted = information_flux(result, rest)[("X", "X")]
     psi0 = product_state(SiteAssignment([("X", 1)] + [("Z", 1)] * (n - 1)))
@@ -211,7 +211,7 @@ def cmd_oracle_fidelity(args) -> int:
     schedule = _make_schedule(args)
     n = schedule.n_sites
     n_steps = _steps_for(args, schedule)
-    result = propagate(schedule, n_steps)
+    result = propagate(schedule, n_steps, series=False)
     if args.read_time == "end":
         read_time = schedule.total_time
     elif args.read_time == "auto":

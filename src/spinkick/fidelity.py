@@ -94,14 +94,14 @@ def run_sweep(spec: SweepSpec) -> List[SweepRow]:
                   for k, v in {**spec.fixed, spec.swept_parameter: value}.items()}
         try:
             schedule = factory(**params)
-            result = propagate(schedule, default_steps(schedule, spec.steps_per_pi))
+            result = propagate(schedule, default_steps(schedule, spec.steps_per_pi), series=False)
             peak = summary(result)
             rows.append(SweepRow(
                 param_value=float(value),
                 max_alpha=peak["max_alpha_N"],
                 t_star=peak["t_star"],
                 fidelity_max=peak["fidelity"],
-                fidelity_at_tau=average_fidelity(result.alphas[-1, schedule.n_sites - 1]),
+                fidelity_at_tau=average_fidelity(result.alpha_series(schedule.n_sites)[-1]),
             ))
         except (SpinkickError, ValueError) as exc:  # keep sweeping, report the row as failed
             rows.append(SweepRow(
@@ -140,5 +140,5 @@ def joint_read_time(result: FluxResult) -> Tuple[float, float, float]:
 
 
 def transfer_read_time(schedule, n_steps: Optional[int] = None) -> Tuple[float, float, float]:
-    """Best joint read-out time predicted by one propagation for both receiver seeds."""
-    return joint_read_time(propagate(schedule, n_steps))
+    """Best joint read-out time predicted by one transfer-only propagation for both receiver seeds."""
+    return joint_read_time(propagate(schedule, n_steps, series=False))

@@ -15,6 +15,12 @@ Only windows that mix channels take a dense exponential: a run of them is
 cut into blocks of about _BLOCK_FLOATS floats of maps, each block's
 generators are scattered as one (W, dim, dim) stack and exponentiated by one
 expm_series call, and the product then advances window by window.
+
+Every step acts on the product from the right, so it works on any block of
+its rows: with R selecting rows, R Q_{k+1} = (R Q_k) M_k.  A run that keeps
+the whole series advances the (dim, dim) product; a transfer-only run
+advances only R Q for the two site-1 rows, a (2, dim) block, and keeps no
+(T, dim) table.
 """
 from __future__ import annotations
 
@@ -32,10 +38,11 @@ from .pulses import PulseSchedule, default_steps, step_grid, window_amplitudes
 
 _MAX_SCALE_DEPTH = 60
 _MAX_NORM = 0.5 * 2.0 ** _MAX_SCALE_DEPTH
-# floats propagate holds at once, the (times, dim) coefficient table plus the (dim, dim)
-# running product, and with period reuse the period map and two (n, dim, 3) column
-# stacks: 512 MiB, so N = 200 on its default grid (sin^6: (160,001 + 400) x 400 +
-# (400 + 6 x 400) x 400 = 65.28 M) still runs and anything larger is refused before allocation
+# floats propagate holds at once, its tables (times x (dim + 4) with the series, times x 4
+# without) plus the running product, and with period reuse the period map and one period's
+# two column stacks: 512 MiB, so N = 200 on its default grid (sin^6 with the series:
+# 160,001 x 404 + 400 x 400 + (400 + 6 x 400) x 400 = 65.92 M) still runs and anything
+# larger is refused before allocation
 MAX_TABLE_FLOATS = 2 ** 26
 # floats of window maps one block of mixed windows holds (max(1, _BLOCK_FLOATS // dim**2)
 # windows), and of each temporary of rotate_run's row chunks: 128 KiB
@@ -45,6 +52,7 @@ _FORMAT_CHUNK = 2 ** 13
 # k = floor(log10|x|) of a finite nonzero double, -324 to 308, one correction step either way
 _K = range(-325, 310)
 _SPLIT = 2.0 ** 27 + 1  # Veltkamp's constant: c = x*_SPLIT splits x into c - (c - x) and the rest
+_TINY = np.finfo(float).tiny  # the smallest normal double: period tables are flushed below it
 _THETA = np.array([(2.0 ** -53 * math.factorial(m + 1)) ** (1.0 / (m + 1)) for m in range(18)])
 
 
@@ -95,19 +103,20 @@ def rotate_run(product: np.ndarray, matching: Matching, angles: np.ndarray,
 
     The channel's generator K is a matching, so the window maps exp(angle_k*K)
     commute and compose to one plane rotation per edge at the summed angle
-    phi_j.  Columns `cols` of the product after window j are
-    weights[j] @ basis, contracted over the first axis of the (3, dim,
-    len(cols)) basis: P cos(phi_j) + P K sin(phi_j) on matched nodes, P on
-    the others.  The product then becomes P exp(phi*K) at the run's whole
-    angle: one Givens rotation of each matched column pair, taken in chunks
-    of rows so that no temporary exceeds _BLOCK_FLOATS floats.  Every angle
-    is checked against the expm_series bound before anything is computed.
+    phi_j.  The product P is any (rows, dim) block of rows.  Columns `cols`
+    of the product after window j are weights[j] @ basis, contracted over
+    the first axis of the (3, rows, len(cols)) basis: P cos(phi_j) +
+    P K sin(phi_j) on matched nodes, P on the others.  The product then
+    becomes P exp(phi*K) at the run's whole angle: one Givens rotation of
+    each matched column pair, taken in chunks of rows so that no temporary
+    exceeds _BLOCK_FLOATS floats.  Every angle is checked against the
+    expm_series bound before anything is computed.
     """
     bad = ~(np.abs(angles) <= _MAX_NORM)  # also an infinite or NaN angle
     if bad.any():
         _check_norm(abs(angles[bad.argmax()]))
     a, b, s = matching
-    partner, sign = np.arange(len(product)), np.zeros(len(product))
+    partner, sign = np.arange(product.shape[1]), np.zeros(product.shape[1])
     partner[a], partner[b] = b, a
     sign[a], sign[b] = -s, s  # column j of P @ K is sign[j] * P[:, partner[j]]
     phi = np.cumsum(angles)
@@ -132,19 +141,34 @@ def _check_norm(norm: float) -> None:
         raise NumericalContractError(f"step generator norm {norm:g} too large")
 
 
+def _site1_rows(n_sites: int) -> list:
+    """0-based indices of the site-1 X and Y nodes: nodes N and 2N, X first for odd N, Y for even N."""
+    return [n_sites - 1, 2 * n_sites - 1] if n_sites % 2 else [2 * n_sites - 1, n_sites - 1]
+
+
 @dataclass(frozen=True)
 class FluxResult:
-    """Time series of the coefficient vector for one seeded propagation."""
+    """Time series of one seeded propagation: the coefficient vector, or only its site-1 block."""
 
     times: np.ndarray          # shape (T,)
-    alphas: np.ndarray         # shape (T, dim), row per stored time
+    alphas: Optional[np.ndarray]  # shape (T, dim), row per stored time; None for a transfer-only run
     transfer: np.ndarray       # shape (T, 2, 2), site-1 X, Y rows of the X_N, Y_N columns
     seed: int                  # 1-based canonical node index
     nodes: Tuple[str, ...]     # canonical node strings, site 1 first
     n_sites: int
 
     def alpha_series(self, node: int) -> np.ndarray:
-        """Coefficient history of a 1-based node index."""
+        """Coefficient history of a 1-based node index.
+
+        A transfer-only run keeps nodes N and 2N, the site-1 rows of its
+        seed's column of transfer; any other node raises ValueError.
+        """
+        if self.alphas is None:
+            site1, dim = _site1_rows(self.n_sites), 2 * self.n_sites
+            if node - 1 not in site1:
+                raise ValueError(f"node {node}: a transfer-only run keeps nodes {self.n_sites} and "
+                                 f"{dim}, not the coefficient table")
+            return self.transfer[:, site1.index(node - 1), int(self.seed != 1)]
         if not 1 <= node <= self.alphas.shape[1]:
             raise ValueError(f"node {node} outside 1..{self.alphas.shape[1]}")
         return self.alphas[:, node - 1]
@@ -152,6 +176,8 @@ class FluxResult:
     def norms(self) -> np.ndarray:
         """Row norms in blocks of about _BLOCK_FLOATS floats: each row is reduced on its own,
         so this is np.linalg.norm(alphas, axis=1) bit for bit, without its (T, dim) squares."""
+        if self.alphas is None:
+            raise ValueError("norms need the coefficient table, which a transfer-only run does not keep")
         out = np.empty(len(self.alphas))
         rows = max(1, _BLOCK_FLOATS // self.alphas.shape[1])
         for lo in range(0, len(out), rows):
@@ -159,8 +185,16 @@ class FluxResult:
         return out
 
 
-def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int = 1) -> FluxResult:
+def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int = 1,
+              series: bool = True) -> FluxResult:
     """Propagate the coefficient vector of canonical node `seed` (1-based) on chain(N).
+
+    With series=False the run is transfer-only: it advances R Q, the two
+    site-1 rows of the product (a (2, dim) block), records only the (T, 2, 2)
+    transfer block and leaves alphas None, so it allocates no (T, dim)
+    table.  Its seed must be X_N or Y_N (1 or N + 1), whose site-1 entries
+    transfer holds.  Every step is the same on either block, R Q_{k+1} =
+    (R Q_k) M_k, so both kinds of run share one loop.
 
     Channel amplitudes are averaged exactly over each window and every
     schedule discontinuity is a window boundary, so piecewise-constant
@@ -173,46 +207,63 @@ def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int 
     dim**2) windows, one call per block.  A channel's generator K_c is a
     matching, so its edges commute and the maps of a run with window angles
     theta_k = 2*dt_k*amp_k compose to exp(phi*K_c), one plane rotation per
-    edge at the summed angle phi.  With P the product before the run, the
-    columns after window j are P cos(phi_j) + P K_c sin(phi_j) on matched
-    nodes and P on the others, written straight into the output rows; the
-    product then advances in place by one Givens update at the run's whole
-    angle.
+    edge at the summed angle phi.  With P the product (or its row block)
+    before the run, the columns after window j are P cos(phi_j) + P K_c
+    sin(phi_j) on matched nodes and P on the others, written straight into
+    the output rows; the product then advances in place by one Givens update
+    at the run's whole angle.
 
     Where the schedule's periodicity holds on the grid (see _period_windows),
-    one period of windows is stepped from the identity: with Q_j the product
-    of its first j maps and M = Q_n the period map, the column at window j of
-    period p is P M^p Q_j e_seed, P being the product of the windows before
-    the first period.  Runs end at the head, period and tail boundaries.
+    one period of windows is stepped from the identity, full columns on
+    either kind of run: with Q_j the product of its first j maps and M = Q_n
+    the period map, the column at window j of period p is P M^p Q_j e_seed,
+    P being the product (or its row block) of the windows before the first
+    period.  Entries of M and of the stacked columns Q_j[:, cols] (partial)
+    below the smallest normal double are set to zero, keeping their sign:
+    far outside the light cone they would otherwise be subnormal and slow
+    every product of the loop.  Runs end at the head, period and tail
+    boundaries.
 
     The step cap (step_grid) and the table cap are checked before the
     generator is built, so a refused run never builds the operator graph.
-    The table cap counts the coefficient table and the running product, and
-    where the grid repeats a period (_period_grid) also the period map and
-    one period's two column stacks, partial and product @ partial.
+    The table cap counts what the run holds: its tables (times x (dim + 4)
+    with the series, times x 4 without) and the running product (dim or 2
+    rows of dim), and where the grid repeats a period (_period_grid) also
+    the period map and one period's two column stacks, partial and
+    product @ partial.
     """
     dim = 2 * schedule.n_sites  # the closure of X_N has 2N strings
     if not 1 <= seed <= dim:
         raise ValueError(f"seed {seed} outside 1..{dim}")
+    if not series and seed not in (1, schedule.n_sites + 1):
+        raise ValueError(f"seed {seed}: a transfer-only run seeds X_N or Y_N "
+                         f"(1 or {schedule.n_sites + 1})")
     if n_steps is None:
         n_steps = default_steps(schedule)
     grid = step_grid(schedule, n_steps)
     _, n, count = period = _period_grid(schedule, grid)
-    stacks = f", the period map and two {n} x {dim} x 3 column stacks" if count else ""
-    if (len(grid) + dim) * dim + bool(count) * (dim + 2 * n * 3) * dim > MAX_TABLE_FLOATS:
-        raise ResourceCapError(f"{len(grid)} times x {dim} coefficients, the {dim} x {dim} "
-                               f"product{stacks} exceed the cap of {MAX_TABLE_FLOATS} floats")
+    rows, width = (dim, 3) if series else (2, 2)  # product rows, columns kept per window
+    held = len(grid) * (series * dim + 4) + rows * dim  # the tables and the running product
+    what = f"{len(grid)} times x {dim} coefficients and" if series else f"{len(grid)} times x"
+    what += f" 4 transfer entries, the {rows} x {dim} product"
+    if count:  # the period map, partial and product @ partial
+        held += dim * dim + n * (dim + rows) * width
+        what += f", the period map and the {n} x {dim} x {width} and {n} x {rows} x {width} column stacks"
+    if held > MAX_TABLE_FLOATS:
+        raise ResourceCapError(f"{what} exceed the cap of {MAX_TABLE_FLOATS} floats")
     k = chain(schedule.n_sites)
-    # the site-1 X and Y rows: nodes N and 2N, X first for odd N and Y first for even N
-    rows = [k.n_sites - 1, dim - 1] if k.n_sites % 2 else [dim - 1, k.n_sites - 1]
-    cols = [seed - 1, 0, k.n_sites]  # the seed's column, then the X_N and Y_N seeds
+    site1 = _site1_rows(k.n_sites)
+    # the seed's column, then the X_N and Y_N seeds; their site-1 rows of the product
+    cols, take = ([seed - 1, 0, k.n_sites], site1) if series else ([0, k.n_sites], slice(None))
     per_block = max(1, _BLOCK_FLOATS // dim ** 2)
-    alphas = np.zeros((len(grid), dim))
-    alphas[0, seed - 1] = 1.0
     transfer = np.zeros((len(grid), 2, 2))  # at t = 0 both seeds sit on site N
-    # output targets: (2-D view, the part of a (..., dim, len(cols)) column stack its rows keep)
-    history = [(alphas, lambda s: s[..., 0]),
-               (transfer.reshape(-1, 4), lambda s: s[..., rows, 1:].reshape(s.shape[:-2] + (4,)))]
+    # output targets: (2-D view, the part of a (..., rows, len(cols)) column stack its rows keep)
+    history = [(transfer.reshape(-1, 4), lambda s: s[..., take, -2:].reshape(s.shape[:-2] + (4,)))]
+    alphas = None
+    if series:
+        alphas = np.zeros((len(grid), dim))
+        alphas[0, seed - 1] = 1.0
+        history.insert(0, (alphas, lambda s: s[..., 0]))
 
     def put(out, at, columns):
         for view, keep in out:
@@ -233,7 +284,7 @@ def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int 
                 to = min(at + per_block, j)
                 scale = 2.0 * (grid[at + 1:to + 1] - grid[at:to])  # into the amplitudes: signs are +-1
                 maps = expm_series(k.combined(*(scale[:, None] * amps[at:to]).T))
-                columns = np.empty((to - at, dim, len(cols)))
+                columns = np.empty((to - at, len(product), len(cols)))
                 for w in range(to - at):
                     product = product @ maps[w]
                     columns[w] = product[:, cols]
@@ -247,11 +298,13 @@ def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int 
         on = amps != 0.0
         channel = np.where(on.sum(axis=1) <= 1, on.argmax(axis=1), -1)  # the channel on, else -1
         first, n, count = _period_windows(period, amps)
-        product = step(np.eye(dim), 0, first, history, 1)
+        product = step(np.eye(dim) if series else np.eye(dim)[site1], 0, first, history, 1)
         if count:  # with no period reused, no period map: it would be an idle identity
             partial = np.empty((n, dim, len(cols)))  # Q_j[:, cols], never the (n, dim, dim) stack
             period = [(partial.reshape(n, dim * len(cols)), lambda s: s.reshape(s.shape[:-2] + (-1,)))]
             period_map = step(np.eye(dim), first, first + n, period, -first)
+            _flush_subnormals(partial)
+            _flush_subnormals(period_map)
             for p in range(count):
                 at = first + p * n + 1
                 put(history, slice(at, at + n), product @ partial)
@@ -259,6 +312,11 @@ def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int 
         step(product, first + count * n, len(amps), history, 1)
     return FluxResult(times=grid, alphas=alphas, transfer=transfer, seed=seed,
                       nodes=k.nodes, n_sites=k.n_sites)
+
+
+def _flush_subnormals(table: np.ndarray) -> None:
+    """Entries of magnitude below the smallest normal double become zeros of their sign, in place."""
+    np.multiply(table, 0.0, out=table, where=np.abs(table) < _TINY)
 
 
 def _period_windows(period: Tuple[int, int, int], amps: np.ndarray) -> Tuple[int, int, int]:
@@ -348,7 +406,7 @@ def information_flux(result: FluxResult, rest_state: SiteAssignment) -> Dict[Tup
         raise ValueError("rest_state needs eigenstate entries, not explicit vectors")
     parity = math.prod(sign if basis == "Z" else 0 for basis, sign in rest_state.entries)
     seed_op = result.nodes[result.seed - 1].lstrip("I")[0]
-    return {(seed_op, result.nodes[j][0]): parity * result.alphas[:, j] for j in (n - 1, 2 * n - 1)}
+    return {(seed_op, result.nodes[j][0]): parity * result.alpha_series(j + 1) for j in (n - 1, 2 * n - 1)}
 
 
 def series_csv(result: FluxResult) -> str:
@@ -371,9 +429,10 @@ def series_csv(result: FluxResult) -> str:
 
 def _series_table(result: FluxResult) -> Iterator[str]:
     """The pieces of series_csv's text in order: its header, then one str per pass."""
+    norms = result.norms()  # a transfer-only run has no table to print
     dim = result.alphas.shape[1]
     header = "t," + ",".join(f"alpha_{j + 1}" for j in range(dim)) + ",norm\n"
-    return _format_table(header, result.times, result.alphas, result.norms())
+    return _format_table(header, result.times, result.alphas, norms)
 
 
 def _format_table(header: str, *columns: np.ndarray) -> Iterator[str]:

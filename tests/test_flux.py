@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import decimal
 import math
 import re
@@ -167,6 +168,25 @@ class TestRotateRun:
         rotate_run(product, chain(n).matchings[channel], np.array([angle]), [0])
         assert product.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", [2, 5, 40, 300])
+    @pytest.mark.parametrize("channel", [0, 1, 2])
+    @pytest.mark.parametrize("angles", [[0.7, -2.5], [0.0], [-0.0], [0.0, -0.0], [-1.3, 0.0, 0.4]])
+    def test_a_row_block_is_those_rows_of_the_square_update(self, n, channel, angles):
+        # a (2, 2N) product: the same two rows of the square update, in place and in the
+        # recorded basis, bit for bit; partner and sign follow the columns, not len(product)
+        rng = np.random.default_rng(n)
+        start = rng.normal(size=(2 * n, 2 * n))
+        start[rng.random(start.shape) < 0.3] = -0.0
+        rows = flux._site1_rows(n)
+        cols = [0, n]
+        square, block = start.copy(), start[rows]
+        matching = chain(n).matchings[channel]
+        want_weights, want_basis = rotate_run(square, matching, np.array(angles), cols)
+        weights, basis = rotate_run(block, matching, np.array(angles), cols)
+        assert block.tobytes() == square[rows].tobytes()
+        assert weights.tobytes() == want_weights.tobytes()
+        assert basis.tobytes() == want_basis[:, rows].tobytes()
+
 
 def _expm_loop(k, schedule, seed):
     """(alphas, transfer) with one expm_series map per window, products in time order."""
@@ -255,8 +275,8 @@ def _admitted(n_sites):
 
 class TestResourceCap:
     def test_table_cap_refuses_before_allocating(self, monkeypatch):
-        # 10 times x 10 coefficients and the 10 x 10 running product
-        monkeypatch.setattr(flux, "MAX_TABLE_FLOATS", (10 + 10) * 10)
+        # 10 times x (10 coefficients and 4 transfer entries) and the 10 x 10 running product
+        monkeypatch.setattr(flux, "MAX_TABLE_FLOATS", 10 * (10 + 4) + 10 * 10)
         assert len(propagate(sin_power_schedule(5, 6), 9).times) == 10  # at the cap
         monkeypatch.setattr(flux, "window_amplitudes", lambda *args: pytest.fail("allocated"))
         with pytest.raises(ResourceCapError, match="11 times x 10 coefficients"):
@@ -285,13 +305,49 @@ class TestResourceCap:
         grid = step_grid(s, default_steps(s))
         dim, (_, n, count) = 10, flux._period_grid(s, grid)
         assert count > 0
-        held = (len(grid) + dim) * dim + (dim + 2 * n * 3) * dim
+        held = len(grid) * (dim + 4) + dim * dim + dim * dim + 2 * n * dim * 3
         monkeypatch.setattr(flux, "MAX_TABLE_FLOATS", held)
         assert len(propagate(s).times) == len(grid)  # at the cap
         monkeypatch.setattr(flux, "MAX_TABLE_FLOATS", held - 1)
         monkeypatch.setattr(flux, "chain", _admitted)
-        with pytest.raises(ResourceCapError, match=f"the period map and two {n} x 10 x 3 column"):
+        with pytest.raises(ResourceCapError,
+                           match=f"the period map and the {n} x 10 x 3 and {n} x 10 x 3 column"):
             propagate(s)
+
+    def test_transfer_only_cap_counts_the_block_and_two_rows(self, monkeypatch):
+        # times x 4 transfer entries and the 2 x 10 row block: no coefficient table
+        s = ideal_schedule(5, "JxB")
+        assert [len(step_grid(s, k)) for k in (1, 2)] == [10, 11]  # the 9 kick edges, then one more
+        monkeypatch.setattr(flux, "MAX_TABLE_FLOATS", 10 * 4 + 2 * 10)
+        assert propagate(s, 1, series=False).alphas is None  # at the cap
+        monkeypatch.setattr(flux, "window_amplitudes", lambda *args: pytest.fail("allocated"))
+        with pytest.raises(ResourceCapError,
+                           match="11 times x 4 transfer entries, the 2 x 10 product exceed"):
+            propagate(s, 2, series=False)
+
+    def test_transfer_only_cap_counts_the_full_period_map(self, monkeypatch):
+        # one period is stepped in full columns from the identity: the 10 x 10 period map,
+        # partial with the two seed columns, and the 2 x 2 block of product @ partial
+        s = sin_power_schedule(5, 6)
+        grid = step_grid(s, default_steps(s))
+        dim, (_, n, count) = 10, flux._period_grid(s, grid)
+        assert count > 0
+        held = len(grid) * 4 + 2 * dim + dim * dim + n * dim * 2 + n * 2 * 2
+        monkeypatch.setattr(flux, "MAX_TABLE_FLOATS", held)
+        assert len(propagate(s, series=False).times) == len(grid)  # at the cap
+        monkeypatch.setattr(flux, "MAX_TABLE_FLOATS", held - 1)
+        monkeypatch.setattr(flux, "chain", _admitted)
+        with pytest.raises(ResourceCapError,
+                           match=f"the period map and the {n} x 10 x 2 and {n} x 2 x 2 column"):
+            propagate(s, series=False)
+
+    def test_transfer_only_runs_where_the_table_would_not_fit(self, monkeypatch):
+        # ideal JxJy at N = 5000, one step: 2 x 10,000 rows instead of a 10,000 x 10,000 product
+        monkeypatch.setattr(flux, "chain", _admitted)
+        with pytest.raises(ResourceCapError):
+            propagate(ideal_schedule(5000, "JxJy"), 1)
+        with pytest.raises(_Admitted):
+            propagate(ideal_schedule(5000, "JxJy"), 1, series=False)
 
 
 class TestPropagate:
@@ -578,6 +634,133 @@ class TestPeriodReuse:
         r = propagate(sin_power_schedule(25, 6))
         assert len(r.times) == 20001
         assert sum(calls) == 400
+
+    def test_flushed_period_tables_match_the_unflushed_ones(self, monkeypatch):
+        # sin^6 at N = 80: the period map and partial hold subnormals far outside the light
+        # cone; flushed to zero they move no output by more than 1e-300
+        s = sin_power_schedule(80, 6)
+        n_steps = default_steps(s, 40)
+        assert _reused_periods(s, n_steps) > 0
+        tables, flush_in_place = [], flux._flush_subnormals
+
+        def flush(table):
+            subnormal = lambda: int(np.count_nonzero((table != 0) & (np.abs(table) < flux._TINY)))
+            before = subnormal()
+            flush_in_place(table)
+            tables.append((before, subnormal()))
+
+        monkeypatch.setattr(flux, "_flush_subnormals", flush)
+        for series in (True, False):
+            tables.clear()
+            r = propagate(s, n_steps, series=series)
+            (_, partial_left), (map_before, map_left) = tables
+            assert map_before > 0 and map_left == partial_left == 0
+            monkeypatch.setattr(flux, "_TINY", 0.0)  # nothing lies below 0: the unflushed loop
+            ref = propagate(s, n_steps, series=series)
+            monkeypatch.setattr(flux, "_TINY", np.finfo(float).tiny)
+            np.testing.assert_allclose(r.transfer, ref.transfer, rtol=0, atol=1e-300)
+            if series:
+                np.testing.assert_allclose(r.alphas, ref.alphas, rtol=0, atol=1e-300)
+
+
+_FAMILIES = {"sin6": lambda n: sin_power_schedule(n, 6), "square16": lambda n: square_schedule(n, 16.0),
+             "JxJy": lambda n: ideal_schedule(n, "JxJy"), "JxB": lambda n: ideal_schedule(n, "JxB")}
+
+
+class TestTransferOnly:
+    @pytest.mark.parametrize("family", list(_FAMILIES))
+    def test_matches_the_full_path(self, family):
+        # every N from 2 to 40, both seeds, with period reuse and with every window stepped
+        # (ideal kicks declare no period); 8 steps per pi keep the window loop short
+        for n in range(2, 41):
+            s = _FAMILIES[family](n)
+            n_steps = default_steps(s, 8)
+            assert (_reused_periods(s, n_steps) > 0) == (family in ("sin6", "square16"))
+            # the window loop takes one seed per N, in turn, so each seed meets both parities
+            for schedule, seeds in ((s, (1, n + 1)), (_window_loop(s), ((1, n + 1)[n // 2 % 2],))):
+                for seed in seeds:
+                    full = propagate(schedule, n_steps, seed)
+                    rows = propagate(schedule, n_steps, seed, series=False)
+                    assert rows.alphas is None and np.array_equal(rows.times, full.times)
+                    np.testing.assert_allclose(rows.transfer, full.transfer, rtol=0, atol=1e-13)
+                    for node in (n, 2 * n):
+                        np.testing.assert_allclose(rows.alpha_series(node), full.alpha_series(node),
+                                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("make", [lambda: sin_power_schedule(25, 6),
+                                      lambda: square_schedule(25, 16.0),
+                                      lambda: ideal_schedule(25, "JxB")],
+                             ids=["sin6", "square16", "JxB"])
+    def test_holds_no_coefficient_table(self, make):
+        s = make()
+        dim = 2 * s.n_sites
+        propagate(s, 1)  # build chain(N) outside the measurement
+        tracemalloc.start()
+        try:
+            grid = step_grid(s, default_steps(s))
+            window_amplitudes(s, grid)
+            inputs = tracemalloc.get_traced_memory()[1]  # what any run takes per time to start
+            del grid
+            tracemalloc.reset_peak()
+            r = propagate(s, series=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _, n, count = flux._period_windows(flux._period_grid(s, r.times),
+                                           window_amplitudes(s, r.times))
+        table = len(r.times) * dim * 8  # what a (T, 2N) coefficient table alone would take
+        # per time: the transfer block and the channel; the period map and partial; the
+        # stepped product and its successor; one block of maps or of rotate_run's temporaries
+        held = len(r.times) * (4 + 1) * 8 + (dim * dim + n * (dim + 2) * 2) * 8 * bool(count)
+        budget = inputs + held + 2 * dim * dim * 8 + 5 * flux._BLOCK_FLOATS * 8
+        assert budget < inputs + table
+        assert peak <= budget
+
+    def test_keeps_only_the_site1_nodes(self):
+        n = 6
+        r = propagate(sin_power_schedule(n, 6), series=False)
+        full = propagate(sin_power_schedule(n, 6))
+        assert r.alphas is None
+        for node in (1, n - 1, n + 1, 2 * n - 1):
+            with pytest.raises(ValueError, match="not the coefficient table"):
+                r.alpha_series(node)
+        with pytest.raises(ValueError, match="transfer-only run does not keep"):
+            r.norms()
+        with pytest.raises(ValueError, match="transfer-only run does not keep"):
+            series_csv(r)
+        # information_flux and summary read only nodes N and 2N
+        flux_rows = information_flux(r, SiteAssignment.uniform(n - 1, "Z", 1))
+        flux_full = information_flux(full, SiteAssignment.uniform(n - 1, "Z", 1))
+        assert flux_rows.keys() == flux_full.keys()
+        for key in flux_rows:
+            np.testing.assert_allclose(flux_rows[key], flux_full[key], rtol=0, atol=1e-13)
+        assert summary(r) == pytest.approx(summary(full), abs=1e-13)
+
+    @pytest.mark.parametrize("seed", [2, 5, 8, 12])
+    def test_seed_must_lead_to_site_n(self, seed):
+        with pytest.raises(ValueError, match="transfer-only run seeds X_N or Y_N"):
+            propagate(sin_power_schedule(6, 6), 40, seed, series=False)
+
+
+class TestFieldSign:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 60), y_seed=st.booleans(), square=st.booleans(),
+           delta=st.sampled_from([7.3, 16.0, 20.0]), steps_per_pi=st.integers(8, 60))
+    def test_negated_field_is_the_d_alpha_d_conjugate(self, n, y_seed, square, delta, steps_per_pi):
+        # K(-b) = D K(b) D with D = diag(1_N, -1_N): the field rungs join the two paths, so every
+        # map, product and recorded entry takes the signs of D on both sides, exactly
+        s = square_schedule(n, delta) if square else sin_power_schedule(n, 6)
+        flipped = dataclasses.replace(s, b_max=-s.b_max)
+        n_steps = default_steps(s, steps_per_pi)
+        seed = n + 1 if y_seed else 1
+        d = np.r_[np.ones(n), -np.ones(n)]
+        row_signs, col_signs = d[flux._site1_rows(n)][:, None], d[[0, n]][None, :]
+        for series in (True, False):
+            r = propagate(s, n_steps, seed, series=series)
+            neg = propagate(flipped, n_steps, seed, series=series)
+            assert np.array_equal(neg.transfer, row_signs * r.transfer * col_signs)
+            if series:
+                assert np.array_equal(neg.alphas, d * r.alphas * d[seed - 1])
 
 
 class TestMaxAlpha:
