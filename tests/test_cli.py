@@ -196,6 +196,18 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert message in err
 
+    @pytest.mark.parametrize("delta", [1e15, 1e17])
+    def test_square_pulses_lost_to_rounding_are_usage_errors(self, capsys, tmp_path, delta):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"variant": "square_delta", "n_sites": 3, "delta": delta,
+                                    "j_const": 0.125, "b_max": 0.25 * delta,
+                                    "pulse_width": 3.141592653589793 / delta}))
+        for argv in (["--schedule", str(path)], ["--n-sites", "3", "--square-delta", str(delta)]):
+            rc, out, err = run(capsys, "simulate", *argv)
+            assert rc == 2
+            assert out == ""
+            assert len(err.splitlines()) == 1 and "too narrow for pulse centres" in err
+
     def test_schedule_file_slot_missing_key_is_named(self, capsys, tmp_path):
         slots = [{"channel": "Jx", "start": 0.0, "duration": 1.0, "amplitude": 0.7},
                  {"channel": "Jy", "start": 1.0, "duration": 1.0}]

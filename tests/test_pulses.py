@@ -255,6 +255,22 @@ class TestSquareDeltaSchedule:
             expected.extend([c - w / 2, c + w / 2])
         np.testing.assert_allclose(s.discontinuities(), sorted(expected))
 
+    # at large delta the edges c -/+ w/2 round onto each other and the pulse area is lost
+    @pytest.mark.parametrize("delta", [1e15, 1e17])
+    def test_pulses_lost_to_rounding_are_refused(self, delta):
+        with pytest.raises(ValueError, match="too narrow for pulse centres"):
+            square_schedule(3, delta)
+        payload = {"variant": "square_delta", "n_sites": 3, "delta": delta, "j_const": 0.125,
+                   "b_max": QUARTER_TURN * delta / math.pi, "pulse_width": math.pi / delta}
+        with pytest.raises(ValueError, match="too narrow for pulse centres"):
+            schedule_from_json(payload)
+
+    @pytest.mark.parametrize("n", [25, 200])
+    def test_sharp_pulses_keep_their_width(self, n):
+        s = square_schedule(n, 1e6)
+        widths = np.diff(s.discontinuities())[::2]
+        np.testing.assert_allclose(widths, s.pulse_width, rtol=1e-6)
+
     def test_delta_validation(self):
         with pytest.raises(ValueError):
             square_schedule(5, 1.0)

@@ -33,6 +33,13 @@ def _resolves(target) -> bool:
     return owner is not None and owner.__dict__.get(target[-1]) is not None
 
 
+# each schedule family keeps its own average_amplitudes attribute, so every family's
+# averaging is timed, not only the family that happens to define the method
+def test_every_averaging_target_resolves():
+    targets, _ = LAYERS["pulses.average"]
+    assert [t for t in targets if not _resolves(t)] == []
+
+
 @pytest.mark.parametrize("layer", list(LAYERS))
 def test_every_layer_has_a_live_target(layer):
     targets, _ = LAYERS[layer]
