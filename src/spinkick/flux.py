@@ -16,11 +16,13 @@ cut into blocks of about _BLOCK_FLOATS floats of maps, each block's
 generators are scattered as one (W, dim, dim) stack and exponentiated by one
 expm_series call, and the product then advances window by window.
 
-Every step acts on the product from the right, so it works on any block of
-its rows: with R selecting rows, R Q_{k+1} = (R Q_k) M_k.  A run that keeps
-the whole series advances the (dim, dim) product; a transfer-only run
-advances only R Q for the two site-1 rows, a (2, dim) block, and keeps no
-(T, dim) table.
+Both kinds of run seed X_N or Y_N (nodes 1 and N + 1) and step those two
+columns, the ones whose site-1 entries are the transfer block.  Every step
+acts on the product from the right, so it works on any block of its rows:
+with R selecting rows, R Q_{k+1} = (R Q_k) M_k.  A run that keeps the whole
+series advances the (dim, dim) product and records its seed's column; a
+transfer-only run advances only R Q for the two site-1 rows, a (2, dim)
+block, and keeps no (T, dim) table.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ _MAX_NORM = 0.5 * 2.0 ** _MAX_SCALE_DEPTH
 # floats propagate holds at once, its tables (times x (dim + 4) with the series, times x 4
 # without) plus the running product, and with period reuse the period map and one period's
 # two column stacks: 512 MiB, so N = 200 on its default grid (sin^6 with the series:
-# 160,001 x 404 + 400 x 400 + (400 + 6 x 400) x 400 = 65.92 M) still runs and anything
+# 160,001 x 404 + 400 x 400 + (400 + 4 x 400) x 400 = 65.60 M) still runs and anything
 # larger is refused before allocation
 MAX_TABLE_FLOATS = 2 ** 26
 # floats of window maps one block of mixed windows holds (max(1, _BLOCK_FLOATS // dim**2)
@@ -153,7 +155,7 @@ class FluxResult:
     times: np.ndarray          # shape (T,)
     alphas: Optional[np.ndarray]  # shape (T, dim), row per stored time; None for a transfer-only run
     transfer: np.ndarray       # shape (T, 2, 2), site-1 X, Y rows of the X_N, Y_N columns
-    seed: int                  # 1-based canonical node index
+    seed: int                  # 1 for X_N, N + 1 for Y_N: the column alphas holds
     nodes: Tuple[str, ...]     # canonical node strings, site 1 first
     n_sites: int
 
@@ -187,14 +189,15 @@ class FluxResult:
 
 def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int = 1,
               series: bool = True) -> FluxResult:
-    """Propagate the coefficient vector of canonical node `seed` (1-based) on chain(N).
+    """Propagate the coefficient vectors of X_N and Y_N on chain(N); seed (1 or N + 1) picks one.
 
-    With series=False the run is transfer-only: it advances R Q, the two
-    site-1 rows of the product (a (2, dim) block), records only the (T, 2, 2)
-    transfer block and leaves alphas None, so it allocates no (T, dim)
-    table.  Its seed must be X_N or Y_N (1 or N + 1), whose site-1 entries
-    transfer holds.  Every step is the same on either block, R Q_{k+1} =
-    (R Q_k) M_k, so both kinds of run share one loop.
+    Every run steps the two seed columns [0, N] and records their site-1
+    rows as the (T, 2, 2) transfer block; a full run also records the
+    seed's column as alphas.  With series=False the run is transfer-only: it
+    advances R Q, the two site-1 rows of the product (a (2, dim) block), and
+    leaves alphas None, so it allocates no (T, dim) table.  Every step is
+    the same on either block, R Q_{k+1} = (R Q_k) M_k, so both kinds of run
+    share one loop.  A seed other than 1 or N + 1 raises ValueError.
 
     Channel amplitudes are averaged exactly over each window and every
     schedule discontinuity is a window boundary, so piecewise-constant
@@ -233,37 +236,34 @@ def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int 
     product @ partial.
     """
     dim = 2 * schedule.n_sites  # the closure of X_N has 2N strings
-    if not 1 <= seed <= dim:
-        raise ValueError(f"seed {seed} outside 1..{dim}")
-    if not series and seed not in (1, schedule.n_sites + 1):
-        raise ValueError(f"seed {seed}: a transfer-only run seeds X_N or Y_N "
-                         f"(1 or {schedule.n_sites + 1})")
+    if seed not in (1, schedule.n_sites + 1):
+        raise ValueError(f"seed {seed}: propagate seeds X_N or Y_N (1 or {schedule.n_sites + 1})")
     if n_steps is None:
         n_steps = default_steps(schedule)
     grid = step_grid(schedule, n_steps)
     _, n, count = period = _period_grid(schedule, grid)
-    rows, width = (dim, 3) if series else (2, 2)  # product rows, columns kept per window
+    rows = dim if series else 2  # product rows
     held = len(grid) * (series * dim + 4) + rows * dim  # the tables and the running product
     what = f"{len(grid)} times x {dim} coefficients and" if series else f"{len(grid)} times x"
     what += f" 4 transfer entries, the {rows} x {dim} product"
     if count:  # the period map, partial and product @ partial
-        held += dim * dim + n * (dim + rows) * width
-        what += f", the period map and the {n} x {dim} x {width} and {n} x {rows} x {width} column stacks"
+        held += dim * dim + n * (dim + rows) * 2
+        what += f", the period map and the {n} x {dim} x 2 and {n} x {rows} x 2 column stacks"
     if held > MAX_TABLE_FLOATS:
         raise ResourceCapError(f"{what} exceed the cap of {MAX_TABLE_FLOATS} floats")
     k = chain(schedule.n_sites)
     site1 = _site1_rows(k.n_sites)
-    # the seed's column, then the X_N and Y_N seeds; their site-1 rows of the product
-    cols, take = ([seed - 1, 0, k.n_sites], site1) if series else ([0, k.n_sites], slice(None))
+    cols = [0, k.n_sites]  # the X_N and Y_N seeds
+    take = site1 if series else slice(None)  # their site-1 rows of the product
     per_block = max(1, _BLOCK_FLOATS // dim ** 2)
     transfer = np.zeros((len(grid), 2, 2))  # at t = 0 both seeds sit on site N
     # output targets: (2-D view, the part of a (..., rows, len(cols)) column stack its rows keep)
-    history = [(transfer.reshape(-1, 4), lambda s: s[..., take, -2:].reshape(s.shape[:-2] + (4,)))]
+    history = [(transfer.reshape(-1, 4), lambda s: s[..., take, :].reshape(s.shape[:-2] + (4,)))]
     alphas = None
     if series:
         alphas = np.zeros((len(grid), dim))
         alphas[0, seed - 1] = 1.0
-        history.insert(0, (alphas, lambda s: s[..., 0]))
+        history.insert(0, (alphas, lambda s: s[..., int(seed != 1)]))
 
     def put(out, at, columns):
         for view, keep in out:
@@ -405,7 +405,7 @@ def information_flux(result: FluxResult, rest_state: SiteAssignment) -> Dict[Tup
     if not rest_state.is_eigenbasis():
         raise ValueError("rest_state needs eigenstate entries, not explicit vectors")
     parity = math.prod(sign if basis == "Z" else 0 for basis, sign in rest_state.entries)
-    seed_op = result.nodes[result.seed - 1].lstrip("I")[0]
+    seed_op = "X" if result.seed == 1 else "Y"
     return {(seed_op, result.nodes[j][0]): parity * result.alpha_series(j + 1) for j in (n - 1, 2 * n - 1)}
 
 

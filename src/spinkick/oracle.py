@@ -413,35 +413,15 @@ class GhzReport:
     fidelity: float
 
 
-def _kick_image(n_sites: int, channels, x: int, z: int) -> Tuple[int, int]:
-    """Masks of U X^x Z^z U^dagger, phase dropped, U the quarter-turn kicks of the channels.
-
-    Bit N - k of a mask is site k; bit j of `bonds` and `odd` stands for the bond that
-    joins bits j and j + 1.  A kick
-    exp(-i*pi/4*G) of one bond term G = XX or YY maps a string that anticommutes with G
-    to -i*G times it and keeps the others.  The bond terms of one kick commute, so the
-    kick multiplies the string by every bond term it anticommutes with: the bonds where
-    z (XX) or x ^ z (YY) has odd parity.
-    """
-    bonds = (1 << (n_sites - 1)) - 1
-    for channel in channels:
-        yy = channel == "Jy"
-        w = x ^ z if yy else z
-        odd = (w ^ (w >> 1)) & bonds
-        flip = odd ^ (odd << 1)
-        x, z = x ^ flip, (z ^ flip if yy else z)
-    return x, z
-
-
 def _ghz_candidates(assignment: SiteAssignment):
     """The two branches mirror((P +- i*Z_S P)/sqrt 2), P the product input, S its non-Z sites.
 
     A branch carries Y at the mirror site of an X input site and X at that of a Y site.
-    The kicks send each such input letter to its mirror site (with a Z string): as the
-    other letter for even N, as the same letter for odd N.  The Pauli map of the kick
-    sequence decides, site by site, and where it keeps the letter the phase gate
-    diag(1, -i) on the mirror site turns it back.  diag(1, +i) on every such site would
-    only swap the two branches, because the gates differ by Z on the mirror of S.
+    The JxJy quarter-turn kicks send each such input letter to its mirror site (with a Z
+    string): as the other letter for even N, as the same letter for odd N.  So for odd N
+    the phase gate diag(1, -i) on every mirror site of S turns the letter back, and for
+    even N no site takes it.  diag(1, +i) on every such site would only swap the two
+    branches, because the gates differ by Z on the mirror of S.
     """
     if not assignment.is_eigenbasis():
         raise ValueError("GHZ assignments must use X/Y/Z eigenstate entries")
@@ -461,16 +441,8 @@ def _ghz_candidates(assignment: SiteAssignment):
     p2 = zphase * p1
     reversal = mirror_state(idx, n)
     candidates = [((p1 + 1j * (-1) ** l * p2) / math.sqrt(2.0))[reversal] for l in (0, 1)]
-    y_input = bases == {"Y"}
-    channels = [slot.channel for slot in ideal_schedule(n, "JxJy").slots]
-    kept = []  # bits of the mirror sites where the kicks keep the input letter
-    for s in non_z:
-        x, z = _kick_image(n, channels, 1 << (n - s), (1 << (n - s)) if y_input else 0)
-        mirror = 1 << (s - 1)  # site N + 1 - s
-        if x & mirror and bool(z & mirror) == y_input:
-            kept.append(mirror)
-    if kept:
-        gate = np.prod([np.where(idx & bit, -1j, 1.0) for bit in kept], axis=0)
+    if n % 2:  # bit s - 1 is site N + 1 - s, the mirror of s
+        gate = np.prod([np.where(idx & (1 << (s - 1)), -1j, 1.0) for s in non_z], axis=0)
         candidates = [gate * c for c in candidates]
     return candidates
 

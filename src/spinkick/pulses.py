@@ -202,7 +202,8 @@ class SinPowerSchedule(PulseSchedule):
 class SquareDeltaSchedule(PulseSchedule):
     """Constant J_x with a train of square B pulses, one per 2*pi period.
 
-    The sharpness parameter delta sets the pulse width w = pi/delta.  Pulses
+    The sharpness parameter delta sets the pulse width w = pi/delta, to
+    within 1e-3 of it however the schedule is built.  Pulses
     are centered on the period boundaries t = 2*pi*k (k = 1..N-1), B amplitude
     carries area pi/4 per pulse, and J_x is calibrated so the coupling area
     accumulated between consecutive pulses is pi/4.
@@ -230,6 +231,10 @@ class SquareDeltaSchedule(PulseSchedule):
         if not all(abs(width / w - 1) <= 1e-6 for width in widths):  # a NaN width fails too
             raise ValueError(f"pulse_width {w} is too narrow for pulse centres up to t = "
                              f"{self.centers[-1]}: rounding its edges moves it by over 1e-6 of it")
+        ratio = self.delta * w / math.pi
+        if not abs(ratio - 1) <= 1e-3:
+            raise ValueError(f"pulse_width {w} is not pi/delta for delta {self.delta}: "
+                             f"delta * pulse_width / pi = {ratio:.6g}, not 1 to within 1e-3")
 
     # a family's own attribute: spinbench's span tracer wraps only what a class dict holds
     average_amplitudes = PulseSchedule.average_amplitudes

@@ -4,7 +4,10 @@ Everything here works on explicit 2^N x 2^N matrices with scipy's expm, fully
 independent of the bitmask state-vector code and of the operator-graph
 propagation; ``dense_closure`` derives the operator graph from dense
 commutators, independent of its closed form.  Slow on purpose; only used for
-small N.
+small N.  The one exception is the Jordan-Wigner referee at the end, which
+works on the chain's 2N Majorana operators, so it reaches N where no
+2^N matrix fits; it is built from the Jordan-Wigner formulas, not from the
+operator graph.
 """
 import itertools
 
@@ -134,3 +137,49 @@ def heisenberg_coefficients(schedule, grid, nodes):
         heis = u.conj().T @ x_n @ u
         rows.append([np.real(np.trace(m @ heis)) / dim for m in mats])
     return np.array(rows)
+
+
+def majorana_generator(n_sites, jx, jy, b):
+    """A = M - M^T for the chain H = i sum_{p<q} M_pq c_p c_q in Jordan-Wigner Majoranas.
+
+    The Majoranas carry their Z strings towards the receiver,
+    a_j = X_j Z_{j+1} ... Z_N and b_j = Y_j Z_{j+1} ... Z_N, in the order
+    (a_1, b_1, ..., a_N, b_N).  Multiplying out the strings gives
+    X_j X_{j+1} = i a_j b_{j+1}, Y_j Y_{j+1} = -i b_j a_{j+1} and Z_j = -i a_j b_j,
+    and from {c_p, c_q} = 2 delta_pq a Majorana evolves as
+    dc_l/dt = i[H, c_l] = 2 sum_p A_lp c_p.
+    """
+    terms = [(2 * j, 2 * j + 3, jx) for j in range(n_sites - 1)]        # a_j b_{j+1}
+    terms += [(2 * j + 1, 2 * j + 2, -jy) for j in range(n_sites - 1)]  # b_j a_{j+1}
+    terms += [(2 * j, 2 * j + 1, -b) for j in range(n_sites)]           # a_j b_j
+    a = np.zeros((2 * n_sites, 2 * n_sites))
+    for p, q, m in terms:
+        a[p, q] += m
+        a[q, p] -= m
+    return a
+
+
+def majorana_index(label):
+    """Position of a Majorana string, e.g. "IIXZ" (a_3 of 4 sites), in majorana_generator's order."""
+    site = len(label) - len(label.lstrip("I"))
+    lead = label[site:site + 1]
+    assert lead in ("X", "Y") and label[site + 1:] == "Z" * (len(label) - site - 1), label
+    return 2 * site + (lead == "Y")
+
+
+def majorana_columns(schedule, grid, seeds):
+    """Heisenberg coefficients of the Majoranas `seeds` on all 2N, one (2N, len(seeds)) slab per time.
+
+    One scipy expm of the window-averaged generator per window of the grid.
+    With c_l(t) = sum_p W_lp(t) c_p, dW/dt = 2 A W, so W advances as
+    W <- expm(2 dt A) W, and the coefficients of c_s are the row W[s], here
+    kept as column s of W^T.
+    """
+    n = schedule.n_sites
+    w_t = np.eye(2 * n)
+    out = [w_t[:, seeds]]
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        a = majorana_generator(n, *schedule.average_amplitudes(t0, t1))
+        w_t = w_t @ expm(2.0 * (t1 - t0) * a).T
+        out.append(w_t[:, seeds])
+    return np.array(out)

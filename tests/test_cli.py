@@ -208,6 +208,16 @@ class TestExitCodes:
             assert out == ""
             assert len(err.splitlines()) == 1 and "too narrow for pulse centres" in err
 
+    def test_square_file_with_another_delta_is_a_usage_error(self, capsys, tmp_path):
+        # pulses of width 0.1 are delta = 31.4, not the file's delta 8
+        path = tmp_path / "s.json"
+        path.write_text('{"variant": "square_delta", "n_sites": 3, "delta": 8, "j_const": 0.1333, '
+                        '"b_max": 2, "pulse_width": 0.1}')
+        rc, out, err = run(capsys, "simulate", "--schedule", str(path))
+        assert rc == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "pulse_width 0.1 is not pi/delta for delta 8: delta * pulse_width / pi = 0.254648" in err
+
     def test_schedule_file_slot_missing_key_is_named(self, capsys, tmp_path):
         slots = [{"channel": "Jx", "start": 0.0, "duration": 1.0, "amplitude": 0.7},
                  {"channel": "Jy", "start": 1.0, "duration": 1.0}]

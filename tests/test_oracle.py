@@ -651,25 +651,30 @@ class TestGhz:
         report = ghz_compare(a, ideal_schedule(a.n_sites, scheme))
         assert report.fidelity == pytest.approx(1.0, abs=1e-9)
 
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(2, 6), data=st.data())
-    def test_kick_image_is_the_dense_conjugation(self, n, data):
-        x = data.draw(st.integers(0, (1 << n) - 1), label="x")
-        z = data.draw(st.integers(0, (1 << n) - 1), label="z")
-        channels = [slot.channel for slot in ideal_schedule(n, "JxJy").slots]
-
-        def matrix(x, z):
-            return oracles.string_matrix(
-                "IXZY"[(x >> (n - k) & 1) + 2 * (z >> (n - k) & 1)] for k in range(1, n + 1))
-
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_kicks_keep_the_letter_at_the_mirror_site_for_odd_n(self, n):
+        # the rule behind the GHZ phase gate, against the dense conjugation by the JxJy
+        # quarter-turn kicks: X_s (Y_s) lands on site N + 1 - s as the same letter for odd N
+        # and as the other letter for even N, for every site s
         u = np.eye(1 << n)
-        for channel in channels:
-            jx, jy = (1.0, 0.0) if channel == "Jx" else (0.0, 1.0)
+        for slot in ideal_schedule(n, "JxJy").slots:
+            jx, jy = (1.0, 0.0) if slot.channel == "Jx" else (0.0, 1.0)
             u = expm(-0.25j * np.pi * oracles.chain_hamiltonian(n, jx, jy, 0.0)) @ u
-        image = u @ matrix(x, z) @ u.conj().T
-        # a Pauli string up to phase: |Tr(Q^dagger image)| = 2^N for the mapped Q
-        want = matrix(*oracle._kick_image(n, channels, x, z))
-        assert abs(np.trace(want.conj().T @ image)) == pytest.approx(1 << n, abs=1e-9)
+
+        def letter_at(image, site):
+            # a Pauli string's letter at a site: which of X and Z there it anticommutes with
+            anti = []
+            for q in (oracles.site_matrix(n, site, op) for op in "XZ"):
+                anti.append(np.allclose(image @ q, -q @ image, atol=1e-9))
+                assert anti[-1] or np.allclose(image @ q, q @ image, atol=1e-9)
+            return {(False, False): "I", (False, True): "X", (True, True): "Y", (True, False): "Z"}[
+                tuple(anti)]
+
+        for site in range(1, n + 1):
+            for letter in "XY":
+                image = u @ oracles.site_matrix(n, site, letter) @ u.conj().T
+                want = letter if n % 2 else {"X": "Y", "Y": "X"}[letter]
+                assert letter_at(image, n + 1 - site) == want, (site, letter)
 
     def test_mixed_bases_rejected(self):
         a = SiteAssignment([("X", 1), ("Z", 1), ("Z", 1), ("Y", 1)])

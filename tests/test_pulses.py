@@ -371,6 +371,28 @@ class TestConstructionChecks:
         with pytest.raises(ValueError, match="need 0 < pulse_width < period"):
             SquareDeltaSchedule(3, 8.0, 0.1, 2.0, width, period)
 
+    # delta * w / pi off 1 by 2.7 (a file that labels delta 8 but pulses at 31.4), 1.9% and
+    # just over 1e-3; then within 1e-3, down to a hand-rounded width (2.3e-6 off)
+    @pytest.mark.parametrize("width", [0.1, 0.4, math.pi / 8 * 1.0011, math.pi / 8 * 0.9989])
+    def test_square_pulse_width_must_be_pi_over_delta(self, width):
+        payload = {"variant": "square_delta", "n_sites": 3, "delta": 8, "j_const": 0.1333,
+                   "b_max": 2, "pulse_width": width}
+        for build in (lambda: SquareDeltaSchedule(3, 8.0, 0.1333, 2.0, width),
+                      lambda: schedule_from_json(payload)):
+            with pytest.raises(ValueError, match=f"pulse_width {width} is not pi/delta for delta 8"):
+                build()
+
+    @pytest.mark.parametrize("delta", [0.0, -8.0, 1e308])
+    def test_square_delta_without_a_matching_width_is_refused(self, delta):
+        with pytest.raises(ValueError, match="delta \\* pulse_width / pi = "):
+            SquareDeltaSchedule(3, delta, 0.1333, 2.0, 0.3927)
+
+    @pytest.mark.parametrize("width", [0.3927, math.pi / 8 * 1.0009, math.pi / 8 * 0.9991])
+    def test_square_pulse_width_within_1e_3_of_pi_over_delta_runs(self, width):
+        s = schedule_from_json({"variant": "square_delta", "n_sites": 3, "delta": 8,
+                                "j_const": 0.1333, "b_max": 2, "pulse_width": width})
+        assert s.pulse_width == width and s.delta == 8
+
     @pytest.mark.parametrize("m", [2.5, 4.0, 7, 0])
     def test_m_must_be_a_positive_even_integer(self, m):
         with pytest.raises(ValueError, match="m must be a positive even integer"):
