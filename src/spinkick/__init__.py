@@ -18,8 +18,8 @@ from .flux import FluxResult, information_flux, max_alpha, propagate, series_csv
 from .fidelity import SweepRow, SweepSpec, average_fidelity, joint_average_fidelity, \
     joint_read_time, run_sweep, summary, sweep_csv, transfer_read_time
 from .oracle import GhzReport, dump_state_json, evolve_state, final_state, ghz_compare, \
-    heisenberg_expectation, mirror_state, monte_carlo_average_fidelity, \
-    pauli_expectation, product_state, receiver_density
+    heisenberg_expectation, mirror_state, monte_carlo_average_fidelity, product_state, \
+    receiver_density
 
 __all__ = [
     "__version__",
@@ -34,7 +34,7 @@ __all__ = [
     "window_amplitudes", "series_csv", "summary",
     "SweepSpec", "SweepRow", "average_fidelity", "joint_average_fidelity", "transfer_read_time",
     "joint_read_time", "run_sweep", "sweep_csv",
-    "evolve_state", "final_state", "heisenberg_expectation", "pauli_expectation",
+    "evolve_state", "final_state", "heisenberg_expectation",
     "product_state", "receiver_density", "monte_carlo_average_fidelity",
     "mirror_state", "GhzReport", "ghz_compare", "dump_state_json",
 ]

@@ -24,8 +24,8 @@ from .fidelity import SweepSpec, _sweep_table, average_fidelity, joint_read_time
 # series_csv stays importable here: spinbench's traced run wraps spinkick.cli.series_csv
 from .flux import _series_table, information_flux, propagate, series_csv  # noqa: F401
 from .graph import build_graph, export_dot, graph_json
-from .oracle import (SiteAssignment, dump_state_json, ghz_compare, heisenberg_expectation,
-                     monte_carlo_average_fidelity, product_state)
+from .oracle import (SiteAssignment, _check_cap, dump_state_json, ghz_compare,
+                     heisenberg_expectation, monte_carlo_average_fidelity, product_state)
 from .pulses import (DEFAULT_STEPS_PER_PI, QUARTER_TURN, boxcar_shape, calibrate_amplitude,
                      default_steps, ideal_schedule, schedule_from_json, sin_power_hump,
                      sin_power_schedule, square_schedule)
@@ -93,9 +93,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_schedule_flags(p: argparse.ArgumentParser, with_n: bool = True):
-    if with_n:
-        p.add_argument("--n-sites", type=int, help="chain length N")
+def _add_schedule_flags(p: argparse.ArgumentParser):
+    p.add_argument("--n-sites", type=int, help="chain length N")
     p.add_argument("--scheme", choices=["JxJy", "JxB"], help="ideal kick scheme")
     p.add_argument("--kick-duration", type=float, default=1.0)
     p.add_argument("--sin-m", type=int, help="sin^m/cos^m schedule with this even m")
@@ -189,6 +188,7 @@ def cmd_sweep(args) -> int:
 def cmd_oracle_compare(args) -> int:
     schedule = _make_schedule(args)
     n = schedule.n_sites
+    _check_cap(n)  # before the coefficient run, which ran over 5 minutes at N = 1000
     n_steps = _steps_for(args, schedule)
     result = propagate(schedule, n_steps, series=False)
     rest = SiteAssignment.uniform(n - 1, "Z", 1)
@@ -210,6 +210,7 @@ def cmd_oracle_compare(args) -> int:
 def cmd_oracle_fidelity(args) -> int:
     schedule = _make_schedule(args)
     n = schedule.n_sites
+    _check_cap(n)  # before the coefficient run, which ran over 5 minutes at N = 1000
     n_steps = _steps_for(args, schedule)
     result = propagate(schedule, n_steps, series=False)
     if args.read_time == "end":

@@ -357,17 +357,20 @@ def _period_grid(schedule: PulseSchedule, grid: np.ndarray) -> Tuple[int, int, i
 def max_alpha(result: FluxResult, node: int) -> Tuple[float, float]:
     """Peak coefficient of a node: (t_star, signed value at the |alpha| max).
 
-    The grid maximum of |alpha| is refined by concave parabolas fitted to the
-    sample triplets around it.  One-sided triplets are included because pulse
-    edges put derivative kinks in the series: a fit straddling the kink
-    flattens the peak, while a fit on the smooth side recovers it.  Degenerate
-    (flat or boundary) peaks fall back to the grid point.
+    The peak grid point is the first whose |alpha| is within 1e-12 (relative)
+    of the grid maximum.  A flat top, where the next point is in that band
+    too, and a peak on the first or last point read the grid point as it is.
+    Any other peak is refined by concave parabolas fitted to the sample
+    triplets around it.  One-sided triplets are included because pulse edges
+    put derivative kinks in the series: a fit straddling the kink flattens
+    the peak, while a fit on the smooth side recovers it.
     """
     series = result.alpha_series(node)
     magnitude = np.abs(series)
-    i = int(np.argmax(magnitude))
+    top = magnitude >= (1.0 - 1e-12) * np.max(magnitude)
+    i = int(np.argmax(top))
     t = result.times
-    if i == 0 or i == len(series) - 1:
+    if i == 0 or i == len(series) - 1 or top[i + 1]:
         return float(t[i]), float(series[i])
     sign = 1.0 if series[i] >= 0 else -1.0
     best_t, best_v = float(t[i]), float(magnitude[i])

@@ -62,11 +62,6 @@ def _step_bound(n_sites: int, dt, jx, jy, b):
     return dt * ((abs(jx) + abs(jy)) * (n_sites - 1) + abs(b) * n_sites)
 
 
-def _too_many_substeps(theta: float) -> NumericalContractError:
-    return NumericalContractError(
-        f"state-vector step bound {theta:g} needs more than 2^{_MAX_DEPTH} substeps")
-
-
 class _ChainAction:
     """Matrix-free H = jx*sum XX + jy*sum YY + b*sum Z on the 2^N amplitudes.
 
@@ -132,14 +127,12 @@ class _ChainAction:
 
         With theta = dt*((|jx|+|jy|)(N-1) + |b|N) >= dt*||H||, the Taylor path takes 2^depth
         Horner-form substeps of bound s = theta/2^depth <= 0.4, each to the first degree m
-        with 2^depth * s^(m+1)/(m+1)! <= 1e-13 (_THETA), so the window meets 1e-13.  Both
-        paths refuse a window that would need more than 2^_MAX_DEPTH substeps."""
-        theta = _step_bound(self.n_sites, dt, jx, jy, b)
-        if not theta <= _MAX_BOUND:  # also an infinite or NaN bound
-            raise _too_many_substeps(theta)
+        with 2^depth * s^(m+1)/(m+1)! <= 1e-13 (_THETA), so the window meets 1e-13.  The
+        bound is not checked here: _windows refuses every window past _MAX_BOUND before
+        the first step, and _merge_runs merges no run past it."""
         if (jx, jy, b).count(0) == 2:  # one channel on (numpy bools would add as "or")
             return self.kick(psi, dt, jx, jy, b)
-        return self.taylor(psi, dt, jx, jy, b, theta)
+        return self.taylor(psi, dt, jx, jy, b, _step_bound(self.n_sites, dt, jx, jy, b))
 
     def kick(self, psi: np.ndarray, dt: float, jx: float, jy: float, b: float) -> np.ndarray:
         """exp(-i*dt*H) psi in closed form when one channel is on.
@@ -185,7 +178,7 @@ def _windows(psi0: np.ndarray, schedule: PulseSchedule, n_steps: Optional[int],
     """The step grid up to read_time and its (W, 3) amplitude table.
 
     Every window's bound is checked in one pass, so a window past the substep
-    cap fails before any is stepped.
+    cap (an infinite or NaN bound too) fails before any is stepped.
     """
     n = schedule.n_sites
     if len(psi0) != (1 << n):
@@ -198,7 +191,8 @@ def _windows(psi0: np.ndarray, schedule: PulseSchedule, n_steps: Optional[int],
         theta = _step_bound(n, np.diff(grid), *amplitudes.T)
     bad = np.flatnonzero(~(theta <= _MAX_BOUND))
     if bad.size:
-        raise _too_many_substeps(theta[bad[0]])
+        raise NumericalContractError(f"state-vector step bound {theta[bad[0]]:g} needs more "
+                                     f"than 2^{_MAX_DEPTH} substeps")
     return grid, amplitudes
 
 
@@ -209,7 +203,7 @@ def _merge_runs(n_sites: int, grid: np.ndarray,
     One channel's terms commute, so exp(-i*dt1*H) exp(-i*dt2*H) = exp(-i*(dt1+dt2)*H) is
     exact for its run, and kick() steps it in closed form; an all-zero run is the identity.
     Mixed windows stay as they are.  A run whose merged bound would pass the substep cap
-    keeps its windows, so step() refuses nothing that ran window by window.  A grid with
+    keeps its windows, so no step passes the bound _windows checked.  A grid with
     no windows (read_time 0) is returned as it is.
     """
     if not len(amplitudes):
@@ -275,31 +269,6 @@ def final_state(psi0: np.ndarray, schedule: PulseSchedule,
     for _, psi in _step_windows(psi0, *_merge_runs(schedule.n_sites, *windows)):
         pass
     return psi
-
-
-def pauli_expectation(psi: np.ndarray, label: str) -> float:
-    """<psi| P |psi> for a Pauli string given as text, site 1 leftmost."""
-    n = len(label)
-    if len(psi) != (1 << n):
-        raise ValueError(f"state has {len(psi)} amplitudes, label names {n} sites")
-    idx = np.arange(len(psi))
-    flip_mask = 0
-    phase = np.ones(len(psi), dtype=complex)
-    for i, c in enumerate(label.upper()):
-        bitpos = n - 1 - i
-        bit = (idx >> bitpos) & 1
-        if c == "X":
-            flip_mask |= 1 << bitpos
-        elif c == "Y":
-            flip_mask |= 1 << bitpos
-            phase = phase * np.where(bit == 0, 1j, -1j)
-        elif c == "Z":
-            phase = phase * (1.0 - 2.0 * bit)
-        elif c != "I":
-            raise ValueError(f"bad Pauli label {c!r}")
-    out = np.empty_like(psi)
-    out[idx ^ flip_mask] = phase * psi
-    return float(np.real(np.vdot(psi, out)))
 
 
 def heisenberg_expectation(op_site_n: str, psi0: np.ndarray, schedule: PulseSchedule,

@@ -250,6 +250,9 @@ def calibrate_amplitude(area: float, target_area: float = QUARTER_TURN) -> float
         raise ValueError(f"target_area must be positive and finite, got {target_area}")
     if not area > 0:
         raise ValueError("pulse shape has zero integral over its window")
+    if not target_area / area < math.inf:
+        raise ValueError(f"target_area {target_area:g} over the shape's area {area:g} "
+                         "passes the float range")
     return target_area / area
 
 

@@ -173,13 +173,16 @@ def majorana_columns(schedule, grid, seeds):
     One scipy expm of the window-averaged generator per window of the grid.
     With c_l(t) = sum_p W_lp(t) c_p, dW/dt = 2 A W, so W advances as
     W <- expm(2 dt A) W, and the coefficients of c_s are the row W[s], here
-    kept as column s of W^T.
+    kept as column s of W^T, which advances by expm(2 dt A^T) = expm(2 dt A)^T.
+    The exponential of the C-ordered A^T is taken rather than the transposed
+    exponential: with threaded BLAS, multiplying by the transposed view
+    after each expm took 15x as long at N = 50 on 2 cores.
     """
     n = schedule.n_sites
     w_t = np.eye(2 * n)
     out = [w_t[:, seeds]]
     for t0, t1 in zip(grid[:-1], grid[1:]):
         a = majorana_generator(n, *schedule.average_amplitudes(t0, t1))
-        w_t = w_t @ expm(2.0 * (t1 - t0) * a).T
+        w_t = w_t @ expm(2.0 * (t1 - t0) * a.T)
         out.append(w_t[:, seeds])
     return np.array(out)

@@ -769,15 +769,13 @@ class TestJordanWignerReferee:
                           for c_r in majoranas])
         np.testing.assert_allclose(w, dense, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [24, 25])
-    @pytest.mark.parametrize("make", [lambda n: sin_power_schedule(n, 6),
-                                      lambda n: square_schedule(n, 16.0)], ids=["sin6", "square16"])
-    def test_full_runs_match_past_the_cap(self, make, n):
+    @pytest.mark.parametrize("family,n", [(f, n) for n in (24, 25) for f in _FAMILIES] + [("sin6", 50)])
+    def test_full_runs_match_past_the_cap(self, family, n):
         # 8 steps per pi: like for like on the engine's grid and window averages, both parities
-        s = make(n)
+        s = _FAMILIES[family](n)
         n_steps = default_steps(s, 8)
         grid = step_grid(s, n_steps)
-        assert _reused_periods(s, n_steps) > 0
+        assert (_reused_periods(s, n_steps) > 0) == (family in ("sin6", "square16"))
         seeds = [oracles.majorana_index("I" * (n - 1) + lead) for lead in "XY"]  # a_N, b_N
         ref = oracles.majorana_columns(s, grid, seeds)
         for col, seed in enumerate((1, n + 1)):
@@ -846,6 +844,51 @@ class TestMaxAlpha:
         t_star, value = max_alpha(r, 1)
         assert t_star == pytest.approx(1.0)
         assert value == pytest.approx(0.6)
+
+    def test_square_flat_tops_read_their_first_grid_point(self):
+        # square delta 8 at N = 10 holds its grid maximum on a plateau from t = 56.745 on; a
+        # parabola through its rising side would read above it, and the two kinds of run,
+        # an ulp apart, could fit from different points of it
+        s = square_schedule(10, 8.0)
+        full, only = max_alpha(propagate(s), 10), max_alpha(propagate(s, series=False), 10)
+        assert full[0] == only[0] == pytest.approx(56.74501730546564, abs=1e-9)
+        for _, value in (full, only):  # the two runs differ by an ulp
+            assert value == pytest.approx(-0.27863949968431234, rel=1e-15)
+        # square delta 20 at N = 3: the plateau holds 0.997972, and so does the peak
+        r = propagate(square_schedule(3, 20.0))
+        assert max_alpha(r, 3)[1] == np.max(np.abs(r.alpha_series(3)))
+
+    def test_full_and_transfer_only_runs_agree_on_square_trains(self):
+        flat = 0
+        for n in range(2, 13):
+            for delta in range(5, 21):
+                s = square_schedule(n, float(delta))
+                full, only = propagate(s), propagate(s, series=False)
+                (t_full, v_full), (t_only, v_only) = max_alpha(full, n), max_alpha(only, n)
+                assert t_full == pytest.approx(t_only, abs=1e-9), (n, delta)
+                assert v_full == pytest.approx(v_only, abs=1e-15), (n, delta)
+                magnitude = np.abs(full.alpha_series(n))
+                top = magnitude >= (1.0 - 1e-12) * magnitude.max()
+                if (top[:-1] & top[1:]).any():  # a flat top reads no more than the grid holds
+                    flat += 1
+                    assert abs(v_full) <= magnitude.max(), (n, delta)
+        assert flat >= 80  # every even N, and N = 3 at delta 20
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(-0.9, 0.9), min_size=3, max_size=12),
+           at=st.integers(0, 11), width=st.integers(2, 4), sign=st.sampled_from([-1.0, 1.0]),
+           jitter=st.floats(0.0, 1e-13))
+    def test_a_flat_top_reads_its_first_point(self, values, at, width, sign, jitter):
+        # a plateau of |alpha| = 0.95 within 1e-12 of its maximum: no fit, the first point
+        at = min(at, len(values) - 1)
+        series = np.array(values[:at] + [sign * 0.95, sign * 0.95 * (1 - jitter)] * width
+                          + values[at:])
+        times = np.linspace(0.0, 1.0, len(series))
+        alphas = np.zeros((len(series), 4))
+        alphas[:, 0] = series
+        r = FluxResult(times=times, alphas=alphas, transfer=np.zeros((len(series), 2, 2)),
+                       seed=1, nodes=build_graph(2).nodes, n_sites=2)
+        assert max_alpha(r, 1) == (times[at], sign * 0.95)
 
     def test_boundary_peak_returns_grid_point(self):
         # quarter field kick: |alpha_Y| still rising when the window ends

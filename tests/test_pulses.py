@@ -60,6 +60,13 @@ class TestCalibration:
             with pytest.raises(ValueError, match="target_area"):
                 calibrate_amplitude(1.0, target_area=target)
 
+    def test_an_amplitude_past_the_float_range_is_refused(self):
+        # 1e308 / 0.5 is inf, which calibrate would print as a JSON Infinity
+        for area, target in ((0.5, 1e308), (sin_power_hump(1000)[0], 1e308), (5e-324, 1.0)):
+            with pytest.raises(ValueError, match="passes the float range"):
+                calibrate_amplitude(area, target)
+        assert calibrate_amplitude(1.0, 1e308) == 1e308
+
     def test_boxcar_width_validation(self):
         for width in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="boxcar width must be positive and finite"):
