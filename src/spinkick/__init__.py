@@ -9,7 +9,6 @@ state-vector simulator cross-checks every prediction.
 __version__ = "0.1.0"
 
 from .exceptions import NumericalContractError, ResourceCapError, SpinkickError
-from .pauli import SiteAssignment
 from .graph import GeneratorMatrix, OperatorGraph, build_graph, chain, export_dot, graph_json
 from .pulses import IdealKickSchedule, KickSlot, PulseSchedule, SinPowerSchedule, \
     SquareDeltaSchedule, calibrate_amplitude, default_steps, ideal_schedule, \
@@ -17,9 +16,9 @@ from .pulses import IdealKickSchedule, KickSlot, PulseSchedule, SinPowerSchedule
 from .flux import FluxResult, information_flux, max_alpha, propagate, series_csv
 from .fidelity import SweepRow, SweepSpec, average_fidelity, joint_average_fidelity, \
     joint_read_time, run_sweep, summary, sweep_csv, transfer_read_time
-from .oracle import GhzReport, dump_state_json, evolve_state, final_state, ghz_compare, \
-    heisenberg_expectation, mirror_state, monte_carlo_average_fidelity, product_state, \
-    receiver_density
+from .oracle import GhzReport, SiteAssignment, dump_state_json, evolve_state, final_state, \
+    ghz_compare, heisenberg_expectation, mirror_state, monte_carlo_average_fidelity, \
+    product_state, receiver_density
 
 __all__ = [
     "__version__",

@@ -142,6 +142,7 @@ def _number_or_text(val: str):
 
 
 def _parse_sweep_file(path: str) -> SweepSpec:
+    """The spec of a JSON or key=value sweep file; a whole-number float steps_per_pi is an int."""
     raw = Path(path).read_text()
     if raw.lstrip().startswith("{"):
         data = json.loads(raw)
@@ -158,15 +159,16 @@ def _parse_sweep_file(path: str) -> SweepSpec:
             elif key.startswith("fixed."):
                 data["fixed"][key[6:]] = _number_or_text(val)
             elif key == "steps_per_pi":
-                data["steps_per_pi"] = int(val)
+                data["steps_per_pi"] = _number_or_text(val)
             else:
                 data[key] = val
+    steps = data.get("steps_per_pi", DEFAULT_STEPS_PER_PI)
     return SweepSpec(
         schedule_family=data.get("schedule_family", data.get("family", "")),
         swept_parameter=data.get("swept_parameter", data.get("sweep", "")),
         values=tuple(data.get("values", ())),
         fixed=dict(data.get("fixed", {})),
-        steps_per_pi=int(data.get("steps_per_pi", DEFAULT_STEPS_PER_PI)),
+        steps_per_pi=int(steps) if isinstance(steps, float) and steps.is_integer() else steps,
     )
 
 

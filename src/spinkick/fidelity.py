@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -64,10 +65,10 @@ class SweepSpec:
             raise ValueError(f"{self.schedule_family} sweep needs fixed {', '.join(missing)}")
         if len(self.values) == 0:
             raise ValueError("sweep needs at least one value")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
+        if any(not b > a for a, b in zip(self.values, self.values[1:])):  # refuses a NaN too
             raise ValueError("sweep values must be strictly increasing")
-        if self.steps_per_pi < 1:
-            raise ValueError("steps_per_pi must be >= 1")
+        if not isinstance(self.steps_per_pi, numbers.Integral) or self.steps_per_pi < 1:
+            raise ValueError(f"steps_per_pi must be a positive integer, got {self.steps_per_pi!r}")
 
 
 @dataclass(frozen=True)

@@ -29,14 +29,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .exceptions import NumericalContractError, ResourceCapError
 from .graph import Matching, chain
-from .pauli import SiteAssignment
 from .pulses import PulseSchedule, default_steps, step_grid, window_amplitudes
+
+if TYPE_CHECKING:
+    from .oracle import SiteAssignment
 
 _MAX_SCALE_DEPTH = 60
 _MAX_NORM = 0.5 * 2.0 ** _MAX_SCALE_DEPTH
@@ -228,7 +230,8 @@ def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int 
     boundaries.
 
     The step cap (step_grid) and the table cap are checked before the
-    generator is built, so a refused run never builds the operator graph.
+    generator is built, so a refused run never builds the operator graph;
+    chain(N) checks the label cap before its first label.
     The table cap counts what the run holds: its tables (times x (dim + 4)
     with the series, times x 4 without) and the running product (dim or 2
     rows of dim), and where the grid repeats a period (_period_grid) also
@@ -298,7 +301,10 @@ def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int 
         on = amps != 0.0
         channel = np.where(on.sum(axis=1) <= 1, on.argmax(axis=1), -1)  # the channel on, else -1
         first, n, count = _period_windows(period, amps)
-        product = step(np.eye(dim) if series else np.eye(dim)[site1], 0, first, history, 1)
+        # a transfer-only run starts from the two site-1 rows of the identity, not the whole of
+        # it; the start goes in unnamed, so the first new product frees it
+        product = step(np.eye(dim) if series else np.equal.outer(site1, np.arange(dim)) + 0.0,
+                       0, first, history, 1)
         if count:  # with no period reused, no period map: it would be an idle identity
             partial = np.empty((n, dim, len(cols)))  # Q_j[:, cols], never the (n, dim, dim) stack
             period = [(partial.reshape(n, dim * len(cols)), lambda s: s.reshape(s.shape[:-2] + (-1,)))]
@@ -405,8 +411,6 @@ def information_flux(result: FluxResult, rest_state: SiteAssignment) -> Dict[Tup
     n = result.n_sites
     if rest_state.n_sites != n - 1:
         raise ValueError(f"rest_state must assign sites 2..{n} ({n - 1} entries)")
-    if not rest_state.is_eigenbasis():
-        raise ValueError("rest_state needs eigenstate entries, not explicit vectors")
     parity = math.prod(sign if basis == "Z" else 0 for basis, sign in rest_state.entries)
     seed_op = "X" if result.seed == 1 else "Y"
     return {(seed_op, result.nodes[j][0]): parity * result.alpha_series(j + 1) for j in (n - 1, 2 * n - 1)}

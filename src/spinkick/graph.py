@@ -32,7 +32,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .pauli import CHANNELS
+from .pulses import CHANNELS, _check_sites
 
 _DOT_COLORS = {"B": "black", "Jx": "green", "Jy": "red"}
 
@@ -105,10 +105,10 @@ def chain(n_sites: int) -> GeneratorMatrix:
     The 2N ladder strings come in canonical order, and each channel's edges
     in ascending a.  For an edge a -> b with sign s the coefficient flow is
     alpha_b' += -2*c*s*alpha_a and alpha_a' += +2*c*s*alpha_b, i.e.
-    K[b,a] = -s and K[a,b] = +s on that channel.
+    K[b,a] = -s and K[a,b] = +s on that channel.  A chain whose labels would
+    pass pulses.MAX_LABEL_BYTES raises ResourceCapError before any is built.
     """
-    if n_sites < 2:
-        raise ValueError("need at least 2 sites")
+    _check_sites(n_sites)
     nodes = tuple("I" * (n_sites - 1 - p) + "XY"[(family + p) % 2] + "Z" * p  # p Z's after the lead
                   for family in range(2) for p in range(n_sites))
     i = np.arange(n_sites - 1)

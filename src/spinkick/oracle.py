@@ -14,7 +14,8 @@ and a value table built once per window, and applies it with one gather;
 larger chains apply H bond by bond, where the ELL temporaries outgrow the
 cache.  Runs that report every grid time (evolve_state,
 heisenberg_expectation) step every window; an end-state run (final_state)
-steps each run of equal single-channel windows as one kick.
+steps each run of equal single-channel windows as one kick.  Inputs are
+products of X/Y/Z eigenstates (SiteAssignment).
 """
 from __future__ import annotations
 
@@ -22,12 +23,11 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .exceptions import NumericalContractError, ResourceCapError
-from .pauli import SiteAssignment
 from .pulses import PulseSchedule, default_steps, ideal_schedule, step_grid, window_amplitudes
 
 RESOURCE_CAP_SITES = 14  # 2^14 amplitudes
@@ -46,6 +46,68 @@ _GATHER_MAX_SITES = 10  # Taylor windows apply H by one gather up to here, bond 
 def _check_cap(n_sites: int):
     if n_sites > RESOURCE_CAP_SITES:
         raise ResourceCapError(f"N={n_sites} exceeds the cap of {RESOURCE_CAP_SITES} sites")
+
+
+_EIGENVECTORS = {
+    ("Z", +1): np.array([1.0, 0.0], dtype=complex),
+    ("Z", -1): np.array([0.0, 1.0], dtype=complex),
+    ("X", +1): np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
+    ("X", -1): np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0),
+    ("Y", +1): np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
+    ("Y", -1): np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0),
+}
+
+
+class SiteAssignment:
+    """Per-site X/Y/Z eigenstates, site 1 first: (basis, sign) pairs like ('Z', +1).
+
+    Any other entry, an explicit 2-vector included, raises ValueError.
+    """
+
+    def __init__(self, entries: Sequence[Tuple[str, int]]):
+        parsed = []
+        for e in entries:
+            pair = isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], str)
+            key = (e[0].upper(), int(e[1])) if pair else None
+            if key not in _EIGENVECTORS:
+                raise ValueError(f"bad eigenstate entry {e!r}: entries are pairs like ('Z', 1)")
+            parsed.append(key)
+        self.entries = parsed
+
+    @classmethod
+    def parse(cls, text: str) -> "SiteAssignment":
+        """Parse comma/whitespace separated tokens like 'X+,Z+,Z-,X-'.
+
+        Aliases: 0 -> Z+, 1 -> Z-, + -> X+, - -> X-.
+        """
+        alias = {"0": ("Z", 1), "1": ("Z", -1), "+": ("X", 1), "-": ("X", -1)}
+        entries = []
+        for tok in text.replace(",", " ").split():
+            t = tok.strip().upper()
+            if t in alias:
+                entries.append(alias[t])
+            elif len(t) == 2 and t[0] in "XYZ" and t[1] in "+-":
+                entries.append((t[0], 1 if t[1] == "+" else -1))
+            else:
+                raise ValueError(f"cannot parse site token {tok!r}")
+        if not entries:
+            raise ValueError("empty site assignment")
+        return cls(entries)
+
+    @classmethod
+    def uniform(cls, n_sites: int, basis: str = "Z", sign: int = 1) -> "SiteAssignment":
+        return cls([(basis, sign)] * n_sites)
+
+    @property
+    def n_sites(self) -> int:
+        return len(self.entries)
+
+    def site_vector(self, site: int) -> np.ndarray:
+        """Single-site state vector at a 1-based site."""
+        return _EIGENVECTORS[self.entries[site - 1]]
+
+    def __str__(self) -> str:
+        return ",".join(f"{basis}{'+' if sign > 0 else '-'}" for basis, sign in self.entries)
 
 
 def product_state(assignment: SiteAssignment) -> np.ndarray:
@@ -392,11 +454,9 @@ def _ghz_candidates(assignment: SiteAssignment):
     even N no site takes it.  diag(1, +i) on every such site would only swap the two
     branches, because the gates differ by Z on the mirror of S.
     """
-    if not assignment.is_eigenbasis():
-        raise ValueError("GHZ assignments must use X/Y/Z eigenstate entries")
     n = assignment.n_sites
-    non_z = [s for s in range(1, n + 1) if assignment.basis_at(s) != "Z"]
-    bases = {assignment.basis_at(s) for s in non_z}
+    non_z = [s for s, (basis, _) in enumerate(assignment.entries, 1) if basis != "Z"]
+    bases = {basis for basis, _ in assignment.entries} - {"Z"}
     if len(bases) > 1:
         raise ValueError("non-Z sites must all use the same basis (X or Y)")
     p1 = product_state(assignment)

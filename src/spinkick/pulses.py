@@ -17,7 +17,8 @@ from typing import Callable, ClassVar, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .exceptions import NumericalContractError, ResourceCapError
-from .pauli import CHANNELS
+
+CHANNELS = ("Jx", "Jy", "B")  # the order of every (jx, jy, b) amplitude triple
 
 QUARTER_TURN = math.pi / 4  # per-kick pulse area for a full coefficient swap
 
@@ -25,8 +26,12 @@ DEFAULT_STEPS_PER_PI = 400
 # 26x the default grid of N = 200 (160,000 steps); holds the grid to 32 MiB and the
 # (W, 3) amplitude table to 96 MiB, and is refused before either exists
 MAX_STEPS = 2 ** 22
+# bytes of the operator graph's 2N node labels, N characters each (2N^2): 64 MiB, so chains
+# up to N = 5792 are built, and a larger N is refused before its schedule or its first label
+MAX_LABEL_BYTES = 2 ** 26
 
 SCHEMES = ("JxJy", "JxB")
+MAX_SIN_M = 1022  # the largest even m whose 2^m is a finite double: sin^m's series divides by it
 
 
 class PulseSchedule:
@@ -103,8 +108,12 @@ class PulseSchedule:
 
 
 def _check_sites(n_sites) -> None:
+    """A chain length both engines take: a whole N from 2 up to the label cap."""
     if not isinstance(n_sites, numbers.Integral) or n_sites < 2:
         raise ValueError(f"need at least 2 sites, got n_sites={n_sites!r}")
+    if 2 * int(n_sites) ** 2 > MAX_LABEL_BYTES:
+        raise ResourceCapError(f"N={n_sites}: the 2N node labels of N characters exceed the cap "
+                               f"of {MAX_LABEL_BYTES} bytes")
 
 
 @dataclass(frozen=True)
@@ -165,6 +174,9 @@ class SinPowerSchedule(PulseSchedule):
         m = self.m
         if not isinstance(m, numbers.Integral) or m < 2 or m % 2 != 0:
             raise ValueError(f"m must be a positive even integer, got {m}")
+        if m > MAX_SIN_M:  # before the series, whose binomials alone would not end at m = 1e308
+            raise ValueError(f"m = {m} exceeds {MAX_SIN_M}: sin^m's cosine series divides by 2^m, "
+                             "past the float range")
         self.total_time = 2.0 * self.n_sites * math.pi
         # sin^m x = c_0 + sum_j c_j cos(2jx); finite series, exact averages
         half = m // 2
@@ -264,7 +276,10 @@ def sin_power_hump(m: int) -> Tuple[float, Tuple[float, float]]:
     """
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
-    area = math.sqrt(math.pi) * math.exp(math.lgamma((m + 1) / 2) - math.lgamma(m / 2 + 1))
+    try:
+        area = math.sqrt(math.pi) * math.exp(math.lgamma((m + 1) / 2) - math.lgamma(m / 2 + 1))
+    except OverflowError:  # m/2 past the float range, or past lgamma's
+        raise ValueError(f"m = {m} passes the float range") from None
     return area, (0.0, math.pi)
 
 

@@ -4,10 +4,11 @@ Everything here works on explicit 2^N x 2^N matrices with scipy's expm, fully
 independent of the bitmask state-vector code and of the operator-graph
 propagation; ``dense_closure`` derives the operator graph from dense
 commutators, independent of its closed form.  Slow on purpose; only used for
-small N.  The one exception is the Jordan-Wigner referee at the end, which
-works on the chain's 2N Majorana operators, so it reaches N where no
-2^N matrix fits; it is built from the Jordan-Wigner formulas, not from the
-operator graph.
+small N.  The exceptions are the Jordan-Wigner referees at the end, which
+work on the chain's 2N Majorana operators, so they reach N where no 2^N
+matrix fits; they are built from the Jordan-Wigner formulas, not from the
+operator graph.  majorana_columns steps the engine's window averages, and
+majorana_pointwise integrates the pointwise ODE with no window rule at all.
 """
 import itertools
 
@@ -185,4 +186,44 @@ def majorana_columns(schedule, grid, seeds):
         a = majorana_generator(n, *schedule.average_amplitudes(t0, t1))
         w_t = w_t @ expm(2.0 * (t1 - t0) * a.T)
         out.append(w_t[:, seeds])
+    return np.array(out)
+
+
+def majorana_pointwise(schedule, times):
+    """The site-1 Majorana columns by the pointwise ODE, in the layout of FluxResult.transfer.
+
+    The referee for the engine's window rule: dW/dt = 2 A(t) W with
+    A(t) = majorana_generator(N, *schedule.amplitudes(t)), no window average
+    anywhere.  solve_ivp (DOP853, rtol 1e-12, atol 1e-14) integrates the
+    first two columns of W from the identity's, one piece between each pair
+    of schedule.discontinuities(); a piece reads its own amplitudes up to its
+    right end, where a boxcar would already have switched.  Returns
+    out[k, i, c] = W(times[k])[seed_c, i], the seeds a_N and b_N (X_N, Y_N)
+    and the columns a_1 and b_1 (X_1, Y_1); times run from 0 upwards.
+    majorana_generator is linear in the amplitudes, so A(t) is summed from
+    the three channel generators rather than rebuilt at every evaluation.
+    """
+    from scipy.integrate import solve_ivp
+
+    n = schedule.n_sites
+    dim = 2 * n
+    channels = np.array([majorana_generator(n, *row) for row in np.eye(3)])
+    times = np.asarray(times, dtype=float)
+    cuts = [t for t in schedule.discontinuities() if times[0] < t < times[-1]]
+    seeds = [dim - 2, dim - 1]
+    w = np.eye(dim)[:, :2]
+    out = [w[seeds].T]
+    for lo, hi in zip([times[0], *cuts], [*cuts, times[-1]]):
+        last = np.nextafter(hi, lo)  # the piece's own amplitudes, up to its right end
+
+        def rhs(t, y, last=last):
+            a = np.tensordot(schedule.amplitudes(min(t, last)), channels, axes=1)
+            return 2.0 * (a @ y.reshape(dim, 2)).ravel()
+
+        at = times[(times > lo) & (times <= hi)]
+        sol = solve_ivp(rhs, (lo, hi), w.ravel(), method="DOP853", t_eval=np.union1d(at, hi),
+                        rtol=1e-12, atol=1e-14)
+        states = sol.y.T.reshape(-1, dim, 2)
+        out += [state[seeds].T for state in states[:len(at)]]
+        w = states[-1]
     return np.array(out)

@@ -184,12 +184,19 @@ class TestExitCodes:
         (["calibrate", "--sin-m", "6", "--target-area", "nan"],
          "target_area must be positive and finite"),
         (["calibrate", "--boxcar-width", "inf"], "boxcar width must be positive and finite"),
-    ], ids=["scheme-1", "m-2.5", "n_sites-3.7", "target-nan", "boxcar-inf"])
+        # each of these printed a traceback (OverflowError)
+        ('{"family": "sin_power", "sweep": "m", "values": [2], "fixed": {"n_sites": 3}, '
+         '"steps_per_pi": Infinity}', "steps_per_pi must be a positive integer, got inf"),
+        (["simulate", "--n-sites", "3", "--sin-m", "1024"], "m = 1024 exceeds 1022"),
+        (["calibrate", "--sin-m", "1" + "0" * 400], "passes the float range"),
+    ], ids=["scheme-1", "m-2.5", "n_sites-3.7", "target-nan", "boxcar-inf", "steps-inf", "m-1024",
+            "m-1e400"])
     def test_malformed_values_are_usage_errors(self, capsys, tmp_path, spec, message):
         # spec: the text of a sweep spec file, or a whole command line
         argv = spec
         if isinstance(spec, str):
-            (tmp_path / "spec.txt").write_text(spec + "steps_per_pi = 20\n")
+            text = spec if spec[0] == "{" else spec + "steps_per_pi = 20\n"  # JSON sets its own
+            (tmp_path / "spec.txt").write_text(text)
             argv = ["sweep", str(tmp_path / "spec.txt")]
         rc, _, err = run(capsys, *argv)
         assert rc == 2

@@ -175,6 +175,8 @@ def _check_output(argv, out, summary):
         assert all(len([float(v) for v in row.split(",")]) == width for row in rows)
         if "--summary" in argv:
             assert set(_strict_json(summary.read_text())) >= {"meta", "max_alpha_N", "t_star"}
+    elif argv[0] == "sweep":
+        _check_sweep_csv(out)
     else:
         assert isinstance(_strict_json(out), dict)
 
@@ -187,14 +189,14 @@ def _check(argv, files):
     assert not caught, (argv, [str(w.message) for w in caught])  # no numpy warning either
     if rc == 0:
         _check_output(argv, out, summary)
-        return rc
+        return rc, out
     assert "Traceback" not in err, (argv, err)
     lines = err.rstrip("\n").split("\n")
     assert re.fullmatch(r"(spinkick[\w ]*: )?error: .+", lines[-1]), (argv, err)
     assert sum("error:" in line for line in lines) == 1, (argv, err)
     if rc == 4:
         assert seconds < 1.0, (argv, seconds)
-    return rc
+    return rc, out
 
 
 @settings(max_examples=100, deadline=None)
@@ -203,11 +205,102 @@ def test_every_small_case_keeps_the_contract(files, data):
     _check(_joined(data.draw(_argvs(files), label="argv")), files)
 
 
+# each sweep family's parameters with their valid values; "scheme" and "kick_duration" are
+# optional for ideal kicks, and any other family takes them as extra keys
+_N_VALUES = ["2", "3", "4", "5", "7", "8"]
+_SWEEP_PARAMS = {
+    "sin_power": {"n_sites": _N_VALUES, "m": ["2", "4", "6", "8"]},
+    "square_delta": {"n_sites": _N_VALUES, "delta": ["5", "8", "16", "7.3", "1.5"]},
+    "ideal_kicks": {"n_sites": _N_VALUES, "scheme": ["JxJy", "JxB"], "kick_duration": ["1", "0.5"]},
+}
+_REQUIRED = {"sin_power": ("n_sites", "m"), "square_delta": ("n_sites", "delta"),
+             "ideal_kicks": ("n_sites",)}
+
+
+def _number(text):
+    """A spec value as JSON writes it: an int or float where the text parses as one, else the text."""
+    try:
+        value = float(text)
+    except ValueError:
+        return text
+    return int(value) if value.is_integer() else value
+
+
+def _one_in(k):
+    """True one time in k; hypothesis's favoured 0 draws False."""
+    return st.integers(0, k - 1).map(lambda i: i == k - 1)
+
+
+@st.composite
+def _sweep_specs(draw):
+    """A sweep spec as a dict of its keys' texts, None for a key left out, both aliases drawn."""
+    family = draw(_value(list(_SWEEP_PARAMS), ["", "sin", "ideal"]))
+    params = _SWEEP_PARAMS.get(family, _SWEEP_PARAMS["sin_power"])
+    swept = draw(_value(list(_REQUIRED.get(family, ("n_sites",))), ["scheme", "kick_duration", "t"]))
+    valid = params.get(swept, _N_VALUES)
+    values = draw(st.lists(_value(valid, EDGE_FLOATS), min_size=int(not draw(_one_in(16))), max_size=3))
+    if not draw(_one_in(4)):  # mostly increasing, as the spec asks
+        values = sorted(set(values), key=lambda v: (isinstance(_number(v), str), _number(v)))
+    fixed = {k: draw(_value(v, EDGE_FLOATS)) for k, v in params.items()
+             if k != swept and (k in _REQUIRED.get(family, ()) or draw(st.booleans()))
+             and not draw(_one_in(16))}  # a required key goes missing one time in 16
+    if draw(_one_in(8)):
+        fixed[draw(st.sampled_from(["scheme", "m", "bogus"]))] = draw(_value(["JxB", "4"], EDGE_FLOATS))
+    steps = draw(st.one_of(st.none(), _value(["1", "2", "8"], EDGE_INTS)))
+    keys = {draw(st.sampled_from(["family", "schedule_family"])): family,
+            draw(st.sampled_from(["sweep", "swept_parameter"])): swept}
+    spec = {k: v for k, v in keys.items() if not draw(_one_in(16))}
+    if draw(_one_in(16)):
+        spec[draw(st.sampled_from(["extra", "fixed.extra"]))] = "1"
+    return {**spec, "values": values, "fixed": fixed, "steps_per_pi": steps}
+
+
+def _spec_text(spec, as_json):
+    """The spec file in the JSON grammar or the key=value one."""
+    if as_json:
+        data = {k: v for k, v in spec.items() if k not in ("values", "fixed", "steps_per_pi")}
+        data["values"] = [_number(v) for v in spec["values"]]
+        data["fixed"] = {k: _number(v) for k, v in spec["fixed"].items()}
+        if spec["steps_per_pi"] is not None:
+            data["steps_per_pi"] = _number(spec["steps_per_pi"])
+        return json.dumps(data)
+    lines = [f"{k} = {v}" for k, v in spec.items() if k not in ("values", "fixed", "steps_per_pi")]
+    lines.append("values = " + ",".join(spec["values"]))
+    lines += [f"fixed.{k} = {v}" for k, v in spec["fixed"].items()]
+    if spec["steps_per_pi"] is not None:
+        lines.append(f"steps_per_pi = {spec['steps_per_pi']}")
+    return "\n".join(lines) + "\n"
+
+
+def _check_sweep_csv(out):
+    lines = out.splitlines()
+    body = [line for line in lines if not line.startswith("#")]
+    assert body[0] == "param,max_alpha,t_star,fidelity_max,fidelity_at_tau", out
+    for row in body[1:]:
+        assert len([float(v) for v in row.split(",")]) == 5, out  # floats or nan
+    notes = [line for line in lines[2:] if line.startswith("#")]  # after the two meta lines
+    assert all(line.startswith("# row ") for line in notes), out
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_sweep_specs(), as_json=st.booleans())
+def test_every_small_sweep_keeps_the_contract_and_repeats_its_bytes(files, spec, as_json):
+    path = files / "sweep-spec.txt"
+    path.write_text(_spec_text(spec, as_json))
+    argv = ["sweep", str(path), "--out", "-"]
+    rc, out = _check(argv, files)
+    if out:  # a failed row's sweep writes every row before it exits
+        _check_sweep_csv(out)
+    if rc == 0:
+        assert "# row" not in out
+        assert _run(argv)[1] == out
+
+
 @pytest.mark.parametrize("argv", [["calibrate", "--boxcar-width", "0.5", "--target-area", "1e308"],
                                   ["calibrate", "--sin-m", "1000", "--target-area", "1e308"]])
 def test_an_amplitude_past_the_float_range_exits_2(argv, files):
     # the quotient overflows: printed, it would be "amplitude": Infinity, which is not JSON
-    assert _check(argv, files) == 2
+    assert _check(argv, files)[0] == 2
 
 
 class _Admitted(Exception):
@@ -252,13 +345,24 @@ _FAMILIES = [("--sin-m", "6"), ("--square-delta", "16"), ("--scheme", "JxJy"), (
       for command in (["simulate"], ["oracle", "compare"], ["oracle", "fidelity"])),
     ["simulate", "--n-sites", "4", "--scheme", "JxB", "--steps-per-pi", "1000000000"],
     ["simulate", "--n-sites", "4", "--square-delta", "8", "--steps-per-pi", str(10 ** 400)],
+    # just past the label cap: its 2N labels would take 2N^2 bytes before any output
+    *(["graph", "5793", "--format", form] for form in ("dot", "json")),
+    ["graph", "40000", "--format", "json"],
 ])
 def test_past_a_cap_exits_4_within_a_second(argv, files):
-    assert _check(argv, files) == 4
+    assert _check(argv, files)[0] == 4
+
+
+def test_a_transfer_only_run_past_the_label_cap_exits_4_within_a_second(files):
+    # one kick grid step per pi: the table cap admits it, and chain(8000) is refused
+    spec = files / "jxjy-8000.txt"
+    spec.write_text("family = ideal_kicks\nsweep = n_sites\nvalues = 8000\nfixed.scheme = JxJy\n"
+                    "steps_per_pi = 1\n")
+    assert _check(["sweep", str(spec)], files)[0] == 4
 
 
 @pytest.mark.parametrize("flag,value", _FAMILIES)
 @pytest.mark.parametrize("past", [0, 1], ids=["first", "next"])  # both parities of N
 def test_simulate_just_past_the_table_cap_exits_4_within_a_second(flag, value, past, files):
     n = _first_refused_n(flag, value) + past
-    assert _check(["simulate", "--n-sites", str(n), flag, value], files) == 4
+    assert _check(["simulate", "--n-sites", str(n), flag, value], files)[0] == 4

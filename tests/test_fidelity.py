@@ -82,6 +82,14 @@ class TestSweepSpec:
             SweepSpec("sin_power", "m", (4.0, 2.0), {"n_sites": 5})
         with pytest.raises(ValueError):
             SweepSpec("sin_power", "m", (4.0, 4.0), {"n_sites": 5})
+        for values in ((5.0, math.nan, 3.0), (math.nan, 2.0), (2.0, math.nan)):  # no order holds
+            with pytest.raises(ValueError, match="strictly increasing"):
+                SweepSpec("sin_power", "n_sites", values, {"m": 6})
+
+    def test_rejects_bad_steps(self):
+        for steps in (0, 2.5, math.inf, math.nan, "8"):
+            with pytest.raises(ValueError, match="steps_per_pi must be a positive integer"):
+                SweepSpec("sin_power", "m", (2.0,), {"n_sites": 5}, steps_per_pi=steps)
 
     @pytest.mark.parametrize("family,swept,fixed", [
         ("sin_power", "m", {}),
@@ -93,10 +101,6 @@ class TestSweepSpec:
     def test_rejects_parameter_neither_fixed_nor_swept(self, family, swept, fixed):
         with pytest.raises(ValueError):
             SweepSpec(family, swept, (2.0,), fixed)
-
-    def test_rejects_bad_steps(self):
-        with pytest.raises(ValueError):
-            SweepSpec("sin_power", "m", (2.0,), {"n_sites": 5}, steps_per_pi=0)
 
 
 class TestRunSweep:

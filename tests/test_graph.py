@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinkick import build_graph, chain, export_dot, graph_json
+from spinkick.exceptions import ResourceCapError
+from spinkick.pulses import MAX_LABEL_BYTES
 
 import oracles
 
@@ -112,6 +114,17 @@ class TestClosure:
             build_graph(3, ("Jx", "Jz"))
         with pytest.raises(ValueError):
             build_graph(3, ())
+
+    def test_label_cap(self):
+        # 2N labels of N characters: N = 5792 is the last chain within 2^26 bytes
+        last = 5792
+        assert 2 * last ** 2 <= MAX_LABEL_BYTES < 2 * (last + 1) ** 2
+        k = chain.__wrapped__(last)  # past the cache, which would keep its 67 MB
+        assert len(k.nodes) == 2 * last and k.nodes[0] == "I" * (last - 1) + "X"
+        del k
+        for build in (chain, build_graph):
+            with pytest.raises(ResourceCapError, match=rf"^N={last + 1}: .* cap of {MAX_LABEL_BYTES} bytes$"):
+                build(last + 1)
 
 
 def _channel_matrices(k):

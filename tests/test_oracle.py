@@ -48,6 +48,48 @@ class _UniformXY(PulseSchedule):
         return {"variant": "test_uniform_xy", "n_sites": self.n_sites}
 
 
+class TestSiteAssignment:
+    def test_parse_aliases(self):
+        a = SiteAssignment.parse("0,1,+,-")
+        assert a.entries == [("Z", 1), ("Z", -1), ("X", 1), ("X", -1)]
+        assert str(a) == "Z+,Z-,X+,X-"
+
+    def test_parse_whitespace(self):
+        a = SiteAssignment.parse("X+ Z+  y-")
+        assert a.entries == [("X", 1), ("Z", 1), ("Y", -1)]
+
+    def test_parse_rejects_garbage(self):
+        with pytest.raises(ValueError):
+            SiteAssignment.parse("X+,Q-")
+        with pytest.raises(ValueError):
+            SiteAssignment.parse("")
+
+    def test_uniform(self):
+        a = SiteAssignment.uniform(3, "Z", -1)
+        assert a.n_sites == 3
+        assert a.entries == [("Z", -1)] * 3
+
+    def test_site_vectors(self):
+        a = SiteAssignment.parse("Z+,Z-,X+,Y-")
+        np.testing.assert_allclose(a.site_vector(1), [1, 0])
+        np.testing.assert_allclose(a.site_vector(2), [0, 1])
+        np.testing.assert_allclose(a.site_vector(3), np.array([1, 1]) / np.sqrt(2))
+        np.testing.assert_allclose(a.site_vector(4), np.array([1, -1j]) / np.sqrt(2))
+
+    @pytest.mark.parametrize("entry", [[0.6, 0.8], np.array([0.6, 0.8j]), (0.6, 0.8), [0.0, 0.0],
+                                       [3.0, 4.0j]])
+    def test_2_vector_entries_refused(self, entry):
+        # sites hold X/Y/Z eigenstates only; a superposition sender is built with np.kron
+        with pytest.raises(ValueError, match="bad eigenstate entry"):
+            SiteAssignment([("Z", 1), entry])
+
+    def test_bad_eigen_entry(self):
+        with pytest.raises(ValueError):
+            SiteAssignment([("Q", 1)])
+        with pytest.raises(ValueError):
+            SiteAssignment([("X", 2)])
+
+
 class TestProductState:
     def test_computational_basis(self):
         np.testing.assert_array_equal(
@@ -61,10 +103,6 @@ class TestProductState:
     def test_superposition_site(self):
         psi = product_state(SiteAssignment.parse("+,0"))
         np.testing.assert_allclose(psi, np.array([1, 0, 1, 0]) / math.sqrt(2))
-
-    def test_explicit_entries(self):
-        a = SiteAssignment([[0.6, 0.8], ("Z", 1)])
-        np.testing.assert_allclose(product_state(a), [0.6, 0, 0.8, 0], atol=1e-15)
 
 
 class TestPauliExpectation:
@@ -278,7 +316,7 @@ class TestHeisenbergExpectation:
         """The streamed Bloch component equals the dense <I...I O> on the stored series."""
         s = make()
         sender = np.array([1.0, np.exp(0.25j * np.pi)]) / math.sqrt(2.0)  # <X> = <Y> = 0.71
-        psi0 = product_state(SiteAssignment([sender] + [("Z", 1)] * (s.n_sites - 1)))
+        psi0 = np.kron(sender, product_state(SiteAssignment.uniform(s.n_sites - 1)))
         times, values = heisenberg_expectation(op, psi0, s, n_steps)
         ref_times, states = evolve_state(psi0, s, n_steps)
         label = "I" * (s.n_sites - 1) + op
@@ -476,8 +514,7 @@ class TestEndStateMerge:
 class TestReceiverDensity:
     def test_pure_product(self):
         phi = np.array([0.6, 0.8j])
-        a = SiteAssignment([("Z", 1), ("Z", 1), phi])
-        rho = receiver_density(product_state(a))
+        rho = receiver_density(np.kron(product_state(SiteAssignment.parse("0,0")), phi))
         np.testing.assert_allclose(rho, np.outer(phi, phi.conj()), atol=1e-15)
 
     def test_maximally_mixed_from_bell_pair(self):
@@ -655,11 +692,6 @@ class TestGhz:
 
     def test_mixed_bases_rejected(self):
         a = SiteAssignment([("X", 1), ("Z", 1), ("Z", 1), ("Y", 1)])
-        with pytest.raises(ValueError):
-            ghz_compare(a)
-
-    def test_explicit_vectors_rejected(self):
-        a = SiteAssignment([[1.0, 0.0], ("Z", 1)])
         with pytest.raises(ValueError):
             ghz_compare(a)
 

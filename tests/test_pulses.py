@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from spinkick import (IdealKickSchedule, KickSlot, PulseSchedule, SinPowerSchedu
                       window_amplitudes)
 from spinkick import flux, oracle
 from spinkick.exceptions import NumericalContractError, ResourceCapError
-from spinkick.pulses import FAMILIES, MAX_STEPS, QUARTER_TURN, SCHEMES, boxcar_shape, sin_power_hump
+from spinkick.pulses import (FAMILIES, MAX_LABEL_BYTES, MAX_SIN_M, MAX_STEPS, QUARTER_TURN, SCHEMES, boxcar_shape,
+                             sin_power_hump)
 
 
 class TestCalibration:
@@ -75,6 +77,12 @@ class TestCalibration:
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
             sin_power_hump(-1)
+
+    @pytest.mark.parametrize("m", [10 ** 306, 10 ** 400])
+    def test_m_past_the_float_range_rejected(self, m):
+        # lgamma overflows past 2.5e305, and m/2 past the double range
+        with pytest.raises(ValueError, match="passes the float range"):
+            sin_power_hump(m)
 
 
 class TestIdealSchedule:
@@ -342,24 +350,36 @@ class TestJsonRoundTrip:
         assert np.array_equal(window_amplitudes(rebuilt, grid), window_amplitudes(s, grid))
 
 
+_BUILDS = pytest.mark.parametrize("build", [
+    lambda n: ideal_schedule(n, "JxJy"),
+    lambda n: ideal_schedule(n, "JxB"),
+    lambda n: sin_power_schedule(n, 6),
+    lambda n: square_schedule(n, 8.0),
+    lambda n: IdealKickSchedule(n, [KickSlot("Jx", 0.0, 1.0, 1.0)]),
+    lambda n: SinPowerSchedule(n, 6, 0.8, 0.8),
+    lambda n: SquareDeltaSchedule(n, 8.0, 0.1, 2.0, 0.4),
+    lambda n: schedule_from_json({**sin_power_schedule(3, 6).to_json(), "n_sites": n}),
+], ids=["ideal_jxjy", "ideal_jxb", "sin_factory", "square_factory", "ideal_class",
+        "sin_class", "square_class", "json"])
+
+
 class TestConstructionChecks:
     """Every path that builds a schedule (factory, class, JSON) meets one check."""
 
     @pytest.mark.parametrize("n", [1, 0, -3, 2.5, 3.0, math.nan, "4"])
-    @pytest.mark.parametrize("build", [
-        lambda n: ideal_schedule(n, "JxJy"),
-        lambda n: ideal_schedule(n, "JxB"),
-        lambda n: sin_power_schedule(n, 6),
-        lambda n: square_schedule(n, 8.0),
-        lambda n: IdealKickSchedule(n, [KickSlot("Jx", 0.0, 1.0, 1.0)]),
-        lambda n: SinPowerSchedule(n, 6, 0.8, 0.8),
-        lambda n: SquareDeltaSchedule(n, 8.0, 0.1, 2.0, 0.4),
-        lambda n: schedule_from_json({**sin_power_schedule(3, 6).to_json(), "n_sites": n}),
-    ], ids=["ideal_jxjy", "ideal_jxb", "sin_factory", "square_factory", "ideal_class",
-            "sin_class", "square_class", "json"])
+    @_BUILDS
     def test_n_sites_must_be_an_integer_of_at_least_2(self, build, n):
         with pytest.raises(ValueError, match="need at least 2 sites"):
             build(n)
+
+    @pytest.mark.parametrize("n", [5793, 10 ** 8, int(1e308), np.int64(2 ** 40)])
+    @_BUILDS
+    def test_n_sites_past_the_label_cap_is_refused_before_any_kick(self, build, n):
+        # the kick and pulse lists grow with N: 10^8 sites would build 10^8 slots first
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match=f"exceed the cap of {MAX_LABEL_BYTES} bytes"):
+            build(n)
+        assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.8", None])
     @pytest.mark.parametrize("variant,key", [
@@ -404,6 +424,18 @@ class TestConstructionChecks:
     def test_m_must_be_a_positive_even_integer(self, m):
         with pytest.raises(ValueError, match="m must be a positive even integer"):
             sin_power_schedule(3, m)
+
+    @pytest.mark.parametrize("build", [lambda m: sin_power_schedule(3, m),
+                                       lambda m: SinPowerSchedule(3, m, 0.8, 0.8)],
+                             ids=["factory", "class"])
+    @pytest.mark.parametrize("m", [MAX_SIN_M + 2, 10 ** 6, 10 ** 300], ids=["1024", "1e6", "1e300"])
+    def test_m_past_the_float_range_of_2_to_the_m_is_refused_at_once(self, build, m):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"exceeds {MAX_SIN_M}"):
+            build(m)
+        assert time.perf_counter() - start < 0.1
+        s = sin_power_schedule(3, MAX_SIN_M)
+        assert np.isfinite(window_amplitudes(s, step_grid(s, 40))).all()
 
 
 class TestKickSlotValidation:
