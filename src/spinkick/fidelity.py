@@ -60,6 +60,11 @@ class SweepSpec:
         if self.swept_parameter not in params:
             raise ValueError(f"unknown swept parameter {self.swept_parameter!r} "
                              f"for family {self.schedule_family}")
+        unknown = [k for k in self.fixed if k not in params + family.options]
+        if unknown:
+            raise ValueError(f"unknown fixed parameter {unknown[0]!r} for family "
+                             f"{self.schedule_family}: it takes "
+                             f"{', '.join(params + family.options)}")
         missing = [p for p in params if p != self.swept_parameter and p not in self.fixed]
         if missing:
             raise ValueError(f"{self.schedule_family} sweep needs fixed {', '.join(missing)}")

@@ -8,7 +8,11 @@ cross-check for the operator-graph propagation.  One loop steps the windows
 and streams the states, so final_state and heisenberg_expectation hold one at
 a time.  A window with one channel on is a product of commuting two-level
 rotations, applied in closed form; any other window is a Taylor series whose
-depth and degree a norm bound fixes up front.  Up to 10 sites each Taylor
+depth and degree a norm bound fixes up front, planned for all windows at
+once.  Each XX or YY term flips two bits and Z is diagonal, so H conserves
+the parity prod Z: after every window the loop checks the norm of the state
+and of its odd-parity half, and monte_carlo_average_fidelity carries its two
+basis columns, one in each sector, in one state.  Up to 10 sites each Taylor
 window keeps H in ELL form, the chain's column table of the N index maps
 and a value table built once per window, and applies it with one gather;
 larger chains apply H bond by bond, where the ELL temporaries outgrow the
@@ -182,19 +186,7 @@ class _ChainAction:
         """H psi from the value table of H: one gather of psi for every term at once."""
         terms = psi[self.columns]
         terms *= values
-        return terms.sum(axis=0)
-
-    def step(self, psi: np.ndarray, dt: float, jx: float, jy: float, b: float) -> np.ndarray:
-        """exp(-i*dt*H) psi: by kick() when one channel is on, else by Taylor substeps.
-
-        With theta = dt*((|jx|+|jy|)(N-1) + |b|N) >= dt*||H||, the Taylor path takes 2^depth
-        Horner-form substeps of bound s = theta/2^depth <= 0.4, each to the first degree m
-        with 2^depth * s^(m+1)/(m+1)! <= 1e-13 (_THETA), so the window meets 1e-13.  The
-        bound is not checked here: _windows refuses every window past _MAX_BOUND before
-        the first step, and _merge_runs merges no run past it."""
-        if (jx, jy, b).count(0) == 2:  # one channel on (numpy bools would add as "or")
-            return self.kick(psi, dt, jx, jy, b)
-        return self.taylor(psi, dt, jx, jy, b, _step_bound(self.n_sites, dt, jx, jy, b))
+        return np.add.reduce(terms, axis=0)
 
     def kick(self, psi: np.ndarray, dt: float, jx: float, jy: float, b: float) -> np.ndarray:
         """exp(-i*dt*H) psi in closed form when one channel is on.
@@ -216,28 +208,30 @@ class _ChainAction:
         return psi
 
     def taylor(self, psi: np.ndarray, dt: float, jx: float, jy: float, b: float,
-               theta: float) -> np.ndarray:
-        """exp(-i*dt*H) psi by the Taylor substeps step() describes, theta its norm bound."""
-        depth = 0
-        if theta > 0.4:
-            depth = int(math.ceil(math.log2(theta / 0.4)))
+               depth: int, degree: int) -> np.ndarray:
+        """exp(-i*dt*H) psi by 2^depth Taylor substeps of the given degree (_plan).
+
+        Each substep is in Horner form, psi + h/1 (psi + h/2 (... (psi + h/m psi))), with
+        h = -i*sub*H; each level updates the fresh H application in place, the same
+        arithmetic as psi + c*H(out)."""
         sub = dt / (1 << depth)
-        degree = int(np.searchsorted(_THETA[depth], theta / (1 << depth)))
         if self.n_sites <= _GATHER_MAX_SITES:
             h = functools.partial(self.gather, values=self.values(jx, jy, b))
         else:
             h = functools.partial(self.apply, jx=jx, jy=jy, b=b)
         for _ in range(1 << depth):
             out = psi
-            for l in range(degree, 0, -1):  # psi + h/1 (psi + h/2 (... (psi + h/m psi)))
-                out = psi + (-1j * sub / l) * h(out)
+            for l in range(degree, 0, -1):
+                out = h(out)
+                out *= -1j * sub / l
+                out += psi
             psi = out
         return psi
 
 
 def _windows(psi0: np.ndarray, schedule: PulseSchedule, n_steps: Optional[int],
-             read_time: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The step grid up to read_time and its (W, 3) amplitude table.
+             read_time: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The step grid up to read_time, its (W, 3) amplitude table and the W window bounds.
 
     Every window's bound is checked in one pass, so a window past the substep
     cap (an infinite or NaN bound too) fails before any is stepped.
@@ -255,12 +249,12 @@ def _windows(psi0: np.ndarray, schedule: PulseSchedule, n_steps: Optional[int],
     if bad.size:
         raise NumericalContractError(f"state-vector step bound {theta[bad[0]]:g} needs more "
                                      f"than 2^{_MAX_DEPTH} substeps")
-    return grid, amplitudes
+    return grid, amplitudes, theta
 
 
-def _merge_runs(n_sites: int, grid: np.ndarray,
-                amplitudes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The grid and table with each run of equal windows, at most one channel on, as one window.
+def _merge_runs(n_sites: int, grid: np.ndarray, amplitudes: np.ndarray,
+                theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The windows of _windows with each run of equal windows, at most one channel on, as one.
 
     One channel's terms commute, so exp(-i*dt1*H) exp(-i*dt2*H) = exp(-i*(dt1+dt2)*H) is
     exact for its run, and kick() steps it in closed form; an all-zero run is the identity.
@@ -269,31 +263,82 @@ def _merge_runs(n_sites: int, grid: np.ndarray,
     no windows (read_time 0) is returned as it is.
     """
     if not len(amplitudes):
-        return grid, amplitudes
+        return grid, amplitudes, theta
     single = np.count_nonzero(amplitudes, axis=1) <= 1
     start = np.append(True, ~single[1:] | (amplitudes[1:] != amplitudes[:-1]).any(axis=1))
     merged = _step_bound(n_sites, np.diff(grid[np.append(start, True)]), *amplitudes[start].T)
-    start |= ~(merged <= _MAX_BOUND)[np.cumsum(start) - 1]
-    return grid[np.append(start, True)], amplitudes[start]
+    merged = merged[np.cumsum(start) - 1]  # per window: the bound of its whole run
+    kept = ~(merged <= _MAX_BOUND)
+    start |= kept
+    return grid[np.append(start, True)], amplitudes[start], np.where(kept, theta, merged)[start]
 
 
-def _step_windows(psi0: np.ndarray, grid: np.ndarray,
-                  amplitudes: np.ndarray) -> Iterator[Tuple[float, np.ndarray]]:
+def _plan(amplitudes: np.ndarray, theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per window: whether one channel alone is on (a kick), and its Taylor depth and degree.
+
+    With theta = dt*((|jx|+|jy|)(N-1) + |b|N) >= dt*||H||, the Taylor path takes 2^depth
+    Horner-form substeps of bound s = theta/2^depth <= 0.4, each to the first degree m with
+    2^depth * s^(m+1)/(m+1)! <= 1e-13 (_THETA), so the window meets 1e-13.  The bound is
+    not checked here: _windows refuses every window past _MAX_BOUND before the first step,
+    and _merge_runs merges no run past it.
+    """
+    single = np.count_nonzero(amplitudes, axis=1) == 1
+    depth = np.zeros(len(theta), dtype=int)
+    big = np.flatnonzero(theta > 0.4)
+    depth[big] = [math.ceil(math.log2(x / 0.4)) for x in theta[big].tolist()]
+    scaled = theta / 2.0 ** depth
+    degree = np.empty(len(theta), dtype=int)
+    for d in np.unique(depth).tolist():  # the count of _THETA[d] entries below each scaled bound
+        at = depth == d
+        degree[at] = np.searchsorted(_THETA[d], scaled[at])
+    return single, depth, degree
+
+
+def _odd_parity(n_sites: int) -> np.ndarray:
+    """Mask of the basis states of parity prod Z = -1, those with an odd number of sites flipped.
+
+    Each XX or YY term flips two bits and Z is diagonal, so H conserves the parity."""
+    odd = np.zeros(1, dtype=bool)
+    for _ in range(n_sites):
+        odd = np.concatenate([odd, ~odd])  # a new leading bit set flips every parity
+    return odd
+
+
+def _norm(psi: np.ndarray) -> float:
+    return math.sqrt(np.vdot(psi, psi).real)
+
+
+def _step_windows(psi0: np.ndarray, grid: np.ndarray, amplitudes: np.ndarray,
+                  theta: np.ndarray) -> Iterator[Tuple[float, np.ndarray]]:
     """The window loop of evolve_state, final_state and heisenberg_expectation.
 
-    Yields (t, state) at every time of the grid, psi0 first, each state after
-    its unit-norm check; the caller keeps what it reads.
+    Yields (t, state) at every time of the grid, psi0 first, each state after its norm
+    check: the state keeps unit norm, and its odd-parity half the norm it starts with.
+    Each window steps by the plan that _plan makes for all of them up front.  The caller
+    keeps what it reads.
     """
-    chain = _ChainAction(len(psi0).bit_length() - 1)
+    n = len(psi0).bit_length() - 1
+    chain = _ChainAction(n)
+    odd = np.flatnonzero(_odd_parity(n))
     times = grid.tolist()
-    amplitudes = amplitudes.tolist()
+    # flat columns: a list of W rows of three floats would hold 1 MB at W = 6400
+    plan = zip(*amplitudes.T.tolist(), *(column.tolist() for column in _plan(amplitudes, theta)))
     psi = np.array(psi0, dtype=complex)
+    odd_norm = _norm(psi.take(odd))
     for i, t in enumerate(times):
         if i:
-            psi = chain.step(psi, t - times[i - 1], *amplitudes[i - 1])
-        drift = abs(np.linalg.norm(psi) - 1.0)
-        if drift > _NORM_TOL:
+            jx, jy, b, single, depth, degree = next(plan)
+            if single:
+                psi = chain.kick(psi, t - times[i - 1], jx, jy, b)
+            else:
+                psi = chain.taylor(psi, t - times[i - 1], jx, jy, b, depth, degree)
+        drift = abs(_norm(psi) - 1.0)
+        if not drift <= _NORM_TOL:
             raise NumericalContractError(f"state norm off 1 by {drift:g} at t = {t:g}")
+        drift = abs(_norm(psi.take(odd)) - odd_norm)
+        if not drift <= _NORM_TOL:
+            raise NumericalContractError(f"odd-parity half's norm off its start {odd_norm:g} "
+                                         f"by {drift:g} at t = {t:g}")
         yield t, psi
 
 
@@ -306,12 +351,13 @@ def evolve_state(psi0: np.ndarray, schedule: PulseSchedule,
     The states fill one (times, 2^N) array; a series past MAX_STATE_AMPLITUDES
     is refused before the first window.
     """
-    grid, amplitudes = _windows(psi0, schedule, n_steps, schedule.total_time)
+    windows = _windows(psi0, schedule, n_steps, schedule.total_time)
+    grid = windows[0]
     if len(grid) * len(psi0) > MAX_STATE_AMPLITUDES:
         raise ResourceCapError(f"{len(grid)} times x {len(psi0)} amplitudes exceed the cap of "
                                f"{MAX_STATE_AMPLITUDES} stored amplitudes")
     states = np.empty((len(grid), len(psi0)), dtype=complex)
-    for i, (_, psi) in enumerate(_step_windows(psi0, grid, amplitudes)):
+    for i, (_, psi) in enumerate(_step_windows(psi0, *windows)):
         states[i] = psi
     return grid, states
 
@@ -336,15 +382,18 @@ def final_state(psi0: np.ndarray, schedule: PulseSchedule,
 def heisenberg_expectation(op_site_n: str, psi0: np.ndarray, schedule: PulseSchedule,
                            n_steps: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
     """<O_N(t)> for O in {X, Y}: the receiver's Bloch component at every grid time,
-    measured as each state arrives, so no series of states is kept."""
+    measured as each state arrives, so no series of states is kept.
+
+    <X_N> + i<Y_N> = 2 <psi[0::2]|psi[1::2]>, the pairs of amplitudes that differ
+    in site N's bit alone, so each time costs one vdot."""
     op = op_site_n.upper()
     if op not in ("X", "Y"):
         raise ValueError("receiver operator must be X or Y")
-    axis = "XY".index(op)
     windows = _windows(psi0, schedule, n_steps, schedule.total_time)
-    times, values = zip(*((t, _bloch(receiver_density(psi), axis))
-                          for t, psi in _step_windows(psi0, *windows)))
-    return np.array(times), np.array(values)
+    times, overlaps = zip(*((t, np.vdot(psi[0::2], psi[1::2]))
+                            for t, psi in _step_windows(psi0, *windows)))
+    overlaps = np.array(overlaps)
+    return np.array(times), 2.0 * (overlaps.real if op == "X" else overlaps.imag)
 
 
 def receiver_density(psi: np.ndarray) -> np.ndarray:
@@ -394,19 +443,22 @@ def monte_carlo_average_fidelity(schedule: PulseSchedule, n_samples: int, seed: 
     The rest of the chain starts in |0...0>.  Because the dynamics is linear,
     every input a|0> + b|1> evolves to a u0 + b u1 of two evolved basis
     columns, so its receiver state is a combination of the four 2x2 blocks
-    Tr_rest |u_i><u_j|, formed once.  The documented local receiver correction
+    Tr_rest |u_i><u_j|, formed once.  One pass evolves both columns: H conserves
+    the parity prod Z, and |0 0...0> and |1 0...0> lie in its even and odd
+    sectors, so the X+ sender on |0...0> evolves to (u0 + u1)/sqrt 2, whose even
+    and odd halves are u0/sqrt 2 and u1/sqrt 2, and the blocks are exactly 2x
+    those of the halves.  The documented local receiver correction
     is computed once per schedule from the same blocks and applied before
     fidelity evaluation.  Returns (mean, standard error).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     n = schedule.n_sites
-    _check_cap(n)
-    basis = np.zeros((2, 1 << n), dtype=complex)
-    basis[0, 0] = basis[1, 1 << (n - 1)] = 1.0  # |0 0...0> and site 1 flipped
-    u = np.stack([final_state(e, schedule, read_time, n_steps) for e in basis])
-    u = u.reshape(2, -1, 2)
-    blocks = np.einsum("irc,jrd->ijcd", u, u.conj())  # Tr_rest |u_i><u_j|
+    sender = product_state(SiteAssignment([("X", 1)] + [("Z", 1)] * (n - 1)))
+    psi = final_state(sender, schedule, read_time, n_steps)
+    odd = _odd_parity(n)
+    halves = np.where([~odd, odd], psi, 0.0).reshape(2, -1, 2)  # u0/sqrt 2 and u1/sqrt 2
+    blocks = 2.0 * np.einsum("irc,jrd->ijcd", halves, halves.conj())  # Tr_rest |u_i><u_j|
     correction = _receiver_correction(blocks)
 
     rng = np.random.default_rng(seed)

@@ -341,10 +341,11 @@ class Family(NamedTuple):
     schedule: type            # the dataclass a JSON payload of this variant rebuilds
     factory: Callable         # calibrated schedule from the family's parameters
     params: Tuple[str, ...]   # the parameters a sweep must set, fixed or swept
+    options: Tuple[str, ...] = ()  # the factory's other keywords, which a sweep may fix
 
 
 FAMILIES = {family.schedule.variant: family for family in (
-    Family(IdealKickSchedule, ideal_schedule, ("n_sites",)),
+    Family(IdealKickSchedule, ideal_schedule, ("n_sites",), ("scheme", "kick_duration")),
     Family(SinPowerSchedule, sin_power_schedule, ("n_sites", "m")),
     Family(SquareDeltaSchedule, square_schedule, ("n_sites", "delta")),
 )}

@@ -1,8 +1,12 @@
+import inspect
+import json
 import math
 
 import numpy as np
 import pytest
 
+from spinkick.cli import main
+from spinkick.pulses import FAMILIES
 from spinkick import (SweepRow, SweepSpec, average_fidelity, joint_average_fidelity,
                       run_sweep, sweep_csv, transfer_read_time, ideal_schedule)
 from spinkick.exceptions import NumericalContractError
@@ -101,6 +105,36 @@ class TestSweepSpec:
     def test_rejects_parameter_neither_fixed_nor_swept(self, family, swept, fixed):
         with pytest.raises(ValueError):
             SweepSpec(family, swept, (2.0,), fixed)
+
+    @pytest.mark.parametrize("family,swept,fixed,key", [
+        ("sin_power", "m", {"n_sites": 5, "bogus": 1}, "bogus"),
+        ("sin_power", "m", {"n_sites": 5, "scheme": "JxB"}, "scheme"),
+        ("square_delta", "n_sites", {"delta": 8.0, "m": 6}, "m"),
+        ("ideal_kicks", "n_sites", {"scheme": "JxB", "delta": 8.0}, "delta"),
+    ])
+    def test_rejects_unknown_fixed_key(self, family, swept, fixed, key):
+        takes = ", ".join(FAMILIES[family].params + FAMILIES[family].options)
+        with pytest.raises(ValueError, match=f"unknown fixed parameter '{key}' .* takes {takes}$"):
+            SweepSpec(family, swept, (2.0,), fixed)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_fixed_keys_are_the_factory_keywords(self, family):
+        f = FAMILIES[family]
+        assert f.params + f.options == tuple(inspect.signature(f.factory).parameters)
+
+    @pytest.mark.parametrize("text", [
+        "family = sin_power\nsweep = m\nvalues = 2,4\nfixed.n_sites = 5\nfixed.bogus = 1\n",
+        json.dumps({"family": "sin_power", "sweep": "m", "values": [2, 4],
+                    "fixed": {"n_sites": 5, "bogus": 1}}),
+    ], ids=["key=value", "json"])
+    def test_unknown_fixed_key_is_a_usage_error_before_any_row(self, capsys, tmp_path, text):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(text)
+        assert main(["sweep", str(spec)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: unknown fixed parameter 'bogus' for family sin_power: "
+                       "it takes n_sites, m\n")
 
 
 class TestRunSweep:

@@ -15,7 +15,7 @@ from spinkick import (IdealKickSchedule, KickSlot, PulseSchedule, SiteAssignment
                       ideal_schedule, mirror_state, monte_carlo_average_fidelity,
                       product_state, receiver_density, sin_power_schedule)
 from spinkick.exceptions import NumericalContractError, ResourceCapError
-from spinkick.pulses import schedule_from_json, square_schedule
+from spinkick.pulses import CHANNELS, schedule_from_json, square_schedule
 
 import oracles
 
@@ -179,7 +179,7 @@ class TestWindowStep:
         rng = np.random.default_rng(seed)
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         psi = psi / np.linalg.norm(psi)
-        got = oracle._ChainAction(n).step(psi, dt, jx, jy, b)
+        got = _one_window(psi, dt, jx, jy, b)
         want = expm(-1j * dt * oracles.chain_hamiltonian(n, jx, jy, b)) @ psi
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert abs(np.linalg.norm(got) - 1.0) <= 1e-12
@@ -195,23 +195,18 @@ class TestWindowStep:
         psi = psi / np.linalg.norm(psi)
         amps = [(-magnitude if negative else magnitude) if c == channel else 0.0
                 for c in ("Jx", "Jy", "B")]
-        chain = oracle._ChainAction(n)
-        chain.apply = chain.gather = chain.values = lambda *args, **kwargs: pytest.fail(
-            "a single-channel window applied H or built its value table")
-        got = chain.step(psi, dt, *amps)
-        del chain.apply, chain.gather, chain.values  # the Taylor reference below needs the real ones
-        theta = dt * magnitude * (n if channel == "B" else n - 1)
+        with pytest.MonkeyPatch.context() as mp:  # the Taylor reference below needs the real ones
+            for name in ("apply", "gather", "values"):
+                mp.setattr(oracle._ChainAction, name, lambda *args, **kwargs: pytest.fail(
+                    "a single-channel window applied H or built its value table"))
+            got = _one_window(psi, dt, *amps)
         want = expm(-1j * dt * oracles.chain_hamiltonian(n, *amps)) @ psi
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(got, chain.taylor(psi, dt, *amps, theta), rtol=0, atol=1e-13)
-
-    def test_numpy_scalar_amplitudes_step_like_floats(self):
-        # a mixed window given as numpy scalars still takes the Taylor path, not a kick
-        psi = _random_state(4, 3)
-        chain = oracle._ChainAction(4)
-        amps = (0.3, 0.7, 0.2)
-        np.testing.assert_array_equal(chain.step(psi, 0.5, *map(np.float64, amps)),
-                                      chain.step(psi, 0.5, *amps))
+        # the plan of a mixed window with the same bound steps this one by Taylor substeps
+        theta = oracle._step_bound(n, np.array([dt]), *amps)
+        _, depth, degree = oracle._plan(np.ones((1, 3)), theta)
+        taylor = oracle._ChainAction(n).taylor(psi, dt, *amps, int(depth[0]), int(degree[0]))
+        np.testing.assert_allclose(got, taylor, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("run", [
         lambda psi0, s: final_state(psi0, s, n_steps=1),
@@ -234,6 +229,52 @@ class TestWindowStep:
 
 
 _couplings = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
+def _per_window_rule(amps, theta):
+    """(single, depth, degree) of one window, as the stepper worked them out window by window."""
+    single = tuple(amps).count(0) == 2
+    depth = 0
+    if theta > 0.4:
+        depth = int(math.ceil(math.log2(theta / 0.4)))
+    return single, depth, int(np.searchsorted(oracle._THETA[depth], theta / (1 << depth)))
+
+
+class TestPlan:
+    """_plan's vectorised (single, depth, degree) against the per-window rule."""
+
+    @staticmethod
+    def _check(amplitudes, theta):
+        got = list(zip(*(column.tolist() for column in oracle._plan(amplitudes, theta))))
+        assert got == [_per_window_rule(a, t) for a, t in zip(amplitudes.tolist(), theta.tolist())]
+
+    @settings(max_examples=100, deadline=None)
+    @given(windows=st.lists(st.tuples(_couplings, _couplings, _couplings,
+                                      st.floats(0.0, oracle._MAX_BOUND)), max_size=40))
+    def test_matches_the_per_window_rule(self, windows):
+        table = np.array(windows, dtype=float).reshape(-1, 4)
+        self._check(table[:, :3], table[:, 3])
+
+    def test_depth_and_degree_edges(self):
+        # theta = 0.4*2^d ends depth d; theta = 2^d*_THETA[d, m] ends degree m at depth d
+        scale = 2.0 ** np.arange(oracle._MAX_DEPTH + 1)
+        edges = np.concatenate([0.4 * scale, (oracle._THETA * scale[:, None]).ravel(),
+                                [0.0, 5e-324]])
+        theta = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+        theta = theta[(theta >= 0) & (theta <= oracle._MAX_BOUND)]
+        rows = np.resize([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, 3.0],
+                          [1.0, 1.0, 0.0], [0.5, 0.0, 0.5], [1.0, 1.0, 1.0]], (len(theta), 3))
+        self._check(rows, theta)
+        assert oracle._MAX_BOUND in theta.tolist()
+
+    def test_refusal_past_the_largest_bound_is_up_front(self):
+        # one Jx window of unit length on two sites has bound equal to its amplitude
+        def windows(amplitude):
+            s = IdealKickSchedule(2, [KickSlot("Jx", 0.0, 1.0, amplitude)])
+            return oracle._windows(product_state(SiteAssignment.parse("+,0")), s, 1, 1.0)
+        assert windows(oracle._MAX_BOUND)[2].tolist() == [oracle._MAX_BOUND]
+        with pytest.raises(NumericalContractError, match="substeps"):
+            windows(np.nextafter(oracle._MAX_BOUND, np.inf))
 
 
 class TestGather:
@@ -262,8 +303,7 @@ class TestGather:
                                                (11, "apply", "gather")])
     def test_the_state_size_picks_the_form(self, monkeypatch, n, used, unused):
         calls = _count_calls(monkeypatch, "apply", "gather", "values")
-        chain = oracle._ChainAction(n)
-        chain.step(_random_state(n, n), 0.05, 0.3, 0.2, 0.5)
+        _one_window(_random_state(n, n), 0.05, 0.3, 0.2, 0.5)
         assert calls[used] > 0 and calls[unused] == 0
         assert (calls["values"] == 0) == (used == "apply")  # a value table only for the gather
 
@@ -323,9 +363,8 @@ class TestHeisenbergExpectation:
         np.testing.assert_array_equal(times, ref_times)
         np.testing.assert_allclose(values, [oracles.pauli_expectation(p, label) for p in states],
                                    rtol=0, atol=1e-14)
-        axis = "XY".index(op)
-        np.testing.assert_array_equal(
-            values, [oracle._bloch(receiver_density(p))[axis] for p in states])
+        overlaps = np.array([np.vdot(p[0::2], p[1::2]) for p in states])  # one vdot per state
+        np.testing.assert_array_equal(values, 2.0 * (overlaps.real if op == "X" else overlaps.imag))
         assert np.max(np.abs(values)) > 0.5
 
     def test_rejects_bad_operator(self):
@@ -361,6 +400,13 @@ class TestFinalState:
             final_state(psi0, _zero_schedule(2), read_time=3.0)
         with pytest.raises(ValueError):
             final_state(psi0, _zero_schedule(2), read_time=-0.1)
+
+
+def _one_window(psi, dt, jx, jy, b):
+    """exp(-i*dt*H) psi by the planned window loop, over a grid of one window."""
+    grid, amplitudes = np.array([0.0, dt]), np.array([[jx, jy, b]])
+    theta = oracle._step_bound(len(psi).bit_length() - 1, np.diff(grid), *amplitudes.T)
+    return list(oracle._step_windows(psi, grid, amplitudes, theta))[-1][1]
 
 
 def _random_state(n_sites, seed):
@@ -487,7 +533,7 @@ class TestEndStateMerge:
         _, states = evolve_state(psi0, s, 40 * n)
         np.testing.assert_array_equal(final_state(psi0, s, n_steps=40 * n), states[-1])
         merged = monte_carlo_average_fidelity(s, 300, seed=5, read_time=2.5, n_steps=40 * n)
-        monkeypatch.setattr(oracle, "_merge_runs", lambda n_sites, grid, amps: (grid, amps))
+        monkeypatch.setattr(oracle, "_merge_runs", lambda n_sites, *windows: windows)
         assert merged == monte_carlo_average_fidelity(s, 300, seed=5, read_time=2.5, n_steps=40 * n)
 
     def test_run_past_the_substep_cap_keeps_its_windows(self):
@@ -505,10 +551,10 @@ class TestEndStateMerge:
         # the whole kick would step in closed form; its windows' bounds are still checked,
         # all of them before the first window is stepped
         s = IdealKickSchedule(3, [KickSlot("Jx", 0.0, 1.0, 0.5), KickSlot("Jy", 1.0, 1.0, 1e9)])
-        calls = _count_calls(monkeypatch, "step")
+        calls = _count_calls(monkeypatch, "kick", "taylor")
         with pytest.raises(NumericalContractError, match="substeps"):
             run(product_state(SiteAssignment.parse("+,0,0")), s)
-        assert calls == {"step": 0}
+        assert calls == {"kick": 0, "taylor": 0}
 
 
 class TestReceiverDensity:
@@ -585,6 +631,55 @@ class TestMonteCarloFidelity:
     def test_validation(self):
         with pytest.raises(ValueError):
             monte_carlo_average_fidelity(_zero_schedule(2), 0, seed=1)
+
+
+class _Boxcars(PulseSchedule):
+    """Boxcars on any channels over [0, total_time]; where they overlap, windows are mixed."""
+
+    def __init__(self, n_sites, boxcars, total_time):
+        self.n_sites = n_sites
+        self.total_time = total_time
+        self._set_boxcars(boxcars)
+
+
+class TestParity:
+    """H conserves prod Z: one pass of the X+ sender carries both Monte-Carlo columns."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 12), data=st.data())
+    def test_one_pass_halves_are_the_two_columns(self, n, data):
+        # N = 2..10 apply H by the gather, 11 and 12 bond by bond
+        boxcars = data.draw(st.lists(st.tuples(
+            st.sampled_from(CHANNELS), st.floats(0.0, 3.0), st.floats(0.1, 1.5),
+            st.floats(-1.0, 1.0).filter(bool)), min_size=1, max_size=5), label="boxcars")
+        s = _Boxcars(n, [(c, t0, t0 + d, a) for c, t0, d, a in boxcars], 3.0)
+        n_steps = data.draw(st.integers(3, 12), label="steps")
+        read_time = data.draw(st.floats(0.0, 3.0), label="read time")
+        psi = final_state(product_state(SiteAssignment.parse(",".join(["+"] + ["0"] * (n - 1)))),
+                          s, read_time, n_steps)
+        odd = oracle._odd_parity(n)
+        for column, half in ((0, ~odd), (1 << (n - 1), odd)):
+            e = np.zeros(1 << n, dtype=complex)
+            e[column] = 1.0
+            np.testing.assert_allclose(math.sqrt(2.0) * np.where(half, psi, 0.0),
+                                       final_state(e, s, read_time, n_steps), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_odd_parity_counts_flipped_sites(self, n):
+        idx = np.arange(1 << n)
+        np.testing.assert_array_equal(oracle._odd_parity(n),
+                                      [bin(i).count("1") % 2 == 1 for i in idx.tolist()])
+
+    def test_weight_moved_between_sectors_is_refused(self, monkeypatch):
+        # a unit-norm state all in the even sector passes the whole-state check, not the
+        # odd half's: the one-pass Monte-Carlo keeps a norm check per column
+        def to_even(self, psi, *args):
+            out = np.zeros_like(psi)
+            out[0] = 1.0
+            return out
+        monkeypatch.setattr(oracle._ChainAction, "taylor", to_even)
+        with pytest.raises(NumericalContractError, match="odd-parity half"):
+            monte_carlo_average_fidelity(sin_power_schedule(4, 6), 10, seed=1)
 
 
 class TestMirrorState:

@@ -587,7 +587,8 @@ class TestWindowAmplitudes:
         def no_step(*args):
             raise AssertionError("stepped a window")
         monkeypatch.setattr(flux, "expm_series", no_step)
-        monkeypatch.setattr(oracle._ChainAction, "step", no_step)
+        monkeypatch.setattr(oracle._ChainAction, "kick", no_step)
+        monkeypatch.setattr(oracle._ChainAction, "taylor", no_step)
         with pytest.raises(NumericalContractError):
             propagate(_LateNaN(), 10)
         with pytest.raises(NumericalContractError):
