@@ -12,7 +12,8 @@ from .exceptions import NumericalContractError, ResourceCapError, SpinkickError
 from .graph import GeneratorMatrix, OperatorGraph, build_graph, chain, export_dot, graph_json
 from .pulses import IdealKickSchedule, KickSlot, PulseSchedule, SinPowerSchedule, \
     SquareDeltaSchedule, calibrate_amplitude, default_steps, ideal_schedule, \
-    schedule_from_json, sin_power_schedule, square_schedule, step_grid, window_amplitudes
+    schedule_from_json, sin_power_schedule, square_schedule, step_grid, window_amplitudes, \
+    window_stages
 from .flux import FluxResult, information_flux, max_alpha, propagate, series_csv
 from .fidelity import SweepRow, SweepSpec, average_fidelity, joint_average_fidelity, \
     joint_read_time, run_sweep, summary, sweep_csv, transfer_read_time
@@ -30,7 +31,7 @@ __all__ = [
     "SquareDeltaSchedule", "ideal_schedule", "calibrate_amplitude",
     "sin_power_schedule", "square_schedule", "schedule_from_json", "step_grid",
     "FluxResult", "propagate", "max_alpha", "information_flux", "default_steps",
-    "window_amplitudes", "series_csv", "summary",
+    "window_amplitudes", "window_stages", "series_csv", "summary",
     "SweepSpec", "SweepRow", "average_fidelity", "joint_average_fidelity", "transfer_read_time",
     "joint_read_time", "run_sweep", "sweep_csv",
     "evolve_state", "final_state", "heisenberg_expectation",

@@ -26,7 +26,7 @@ from .flux import _series_table, information_flux, propagate, series_csv  # noqa
 from .graph import build_graph, export_dot, graph_json
 from .oracle import (SiteAssignment, _check_cap, dump_state_json, ghz_compare,
                      heisenberg_expectation, monte_carlo_average_fidelity, product_state)
-from .pulses import (DEFAULT_STEPS_PER_PI, QUARTER_TURN, boxcar_shape, calibrate_amplitude,
+from .pulses import (QUARTER_TURN, boxcar_shape, calibrate_amplitude,
                      default_steps, ideal_schedule, schedule_from_json, sin_power_hump,
                      sin_power_schedule, square_schedule)
 
@@ -101,8 +101,8 @@ def _add_schedule_flags(p: argparse.ArgumentParser):
     p.add_argument("--square-delta", type=float, help="square-pulse schedule sharpness")
     p.add_argument("--schedule", help="JSON schedule file")
     p.add_argument("--steps", type=_positive_int, help="explicit step count")
-    p.add_argument("--steps-per-pi", type=_positive_int, default=DEFAULT_STEPS_PER_PI,
-                   help="steps per pi of total time")
+    p.add_argument("--steps-per-pi", type=_positive_int,
+                   help="steps per pi of total time (default: 200 for --sin-m, else 400)")
 
 
 def cmd_graph(args) -> int:
@@ -162,7 +162,7 @@ def _parse_sweep_file(path: str) -> SweepSpec:
                 data["steps_per_pi"] = _number_or_text(val)
             else:
                 data[key] = val
-    steps = data.get("steps_per_pi", DEFAULT_STEPS_PER_PI)
+    steps = data.get("steps_per_pi")
     return SweepSpec(
         schedule_family=data.get("schedule_family", data.get("family", "")),
         swept_parameter=data.get("swept_parameter", data.get("sweep", "")),

@@ -10,7 +10,7 @@ import numpy as np
 
 from .exceptions import NumericalContractError, SpinkickError
 from .flux import FluxResult, _format_table, max_alpha, propagate
-from .pulses import DEFAULT_STEPS_PER_PI, FAMILIES, default_steps
+from .pulses import FAMILIES, default_steps
 
 _CLAMP_TOL = 1e-9
 
@@ -44,13 +44,13 @@ def joint_average_fidelity(a, b):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-parameter sweep over a schedule family."""
+    """One-parameter sweep over a schedule family; steps_per_pi defaults to the family's density."""
 
     schedule_family: str
     swept_parameter: str
     values: Tuple
     fixed: Dict = field(default_factory=dict)
-    steps_per_pi: int = DEFAULT_STEPS_PER_PI
+    steps_per_pi: Optional[int] = None
 
     def __post_init__(self):
         family = FAMILIES.get(self.schedule_family)
@@ -72,6 +72,8 @@ class SweepSpec:
             raise ValueError("sweep needs at least one value")
         if any(not b > a for a, b in zip(self.values, self.values[1:])):  # refuses a NaN too
             raise ValueError("sweep values must be strictly increasing")
+        if self.steps_per_pi is None:
+            object.__setattr__(self, "steps_per_pi", family.schedule.steps_per_pi)
         if not isinstance(self.steps_per_pi, numbers.Integral) or self.steps_per_pi < 1:
             raise ValueError(f"steps_per_pi must be a positive integer, got {self.steps_per_pi!r}")
 

@@ -1,20 +1,26 @@
 """Coefficient propagation on the operator graph.
 
 The receiver operator evolves in the Heisenberg picture, so time composes in
-reverse: with per-window maps M_k = exp(2*dt_k*K_k), the coefficient vector at
-step k is the column (M_0 M_1 ... M_{k-1}) e_seed with the EARLIEST window
+reverse: with per-stage maps M_k = exp(2*dt_k*K_k), the coefficient vector at
+step k is the column (M_0 M_1 ... M_{k-1}) e_seed with the EARLIEST stage
 leftmost.  The running matrix product keeps that order; a naive chronological
-update alpha <- M_k alpha composes the windows backwards and is wrong whenever
-the generators of different windows fail to commute.
+update alpha <- M_k alpha composes the stages backwards and is wrong whenever
+the generators of different stages fail to commute.
 
-Windows with one channel on commute with each other when they share the
-channel: each channel's generator is a matching, so a run of such windows is
+pulses.window_stages sets the window rule: a boxcar window is one stage, its
+exact average, and a sin^m window the two stages of the fourth-order CF4 rule,
+the one weighted toward the earlier Gauss point leftmost.  The product steps
+every stage and records the columns only at grid times, after a window's last
+stage.
+
+Stages with one channel on commute with each other when they share the
+channel: each channel's generator is a matching, so a run of such stages is
 one plane rotation per edge at the summed angle (rotate_run), and the running
 product advances in place by one Givens rotation per matched column pair.
-Only windows that mix channels take a dense exponential: a run of them is
+Only stages that mix channels take a dense exponential: a run of them is
 cut into blocks of about _BLOCK_FLOATS floats of maps, each block's
 generators are scattered as one (W, dim, dim) stack and exponentiated by one
-expm_series call, and the product then advances window by window.
+expm_series call, and the product then advances stage by stage.
 
 Both kinds of run seed X_N or Y_N (nodes 1 and N + 1) and step those two
 columns, the ones whose site-1 entries are the transfer block.  Every step
@@ -35,7 +41,7 @@ import numpy as np
 
 from .exceptions import NumericalContractError, ResourceCapError
 from .graph import Matching, chain
-from .pulses import PulseSchedule, default_steps, step_grid, window_amplitudes
+from .pulses import PulseSchedule, default_steps, step_grid, window_stages
 
 if TYPE_CHECKING:
     from .oracle import SiteAssignment
@@ -44,9 +50,10 @@ _MAX_SCALE_DEPTH = 60
 _MAX_NORM = 0.5 * 2.0 ** _MAX_SCALE_DEPTH
 # floats propagate holds at once, its tables (times x (dim + 4) with the series, times x 4
 # without) plus the running product, and with period reuse the period map and one period's
-# two column stacks: 512 MiB, so N = 200 on its default grid (sin^6 with the series:
-# 160,001 x 404 + 400 x 400 + (400 + 4 x 400) x 400 = 65.60 M) still runs and anything
-# larger is refused before allocation
+# two column stacks: 512 MiB, so N = 200 on its default grid (square delta 8 with the series:
+# 160,001 x 404 + 400 x 400 + (400 + 4 x 800) x 400 = 66.24 M; sin^6 on its 200 steps per pi
+# 80,001 x 404 + 400 x 400 + (400 + 4 x 200) x 400 = 32.96 M) still runs and anything larger
+# is refused before allocation
 MAX_TABLE_FLOATS = 2 ** 26
 # floats of window maps one block of mixed windows holds (max(1, _BLOCK_FLOATS // dim**2)
 # windows), and of each temporary of rotate_run's row chunks: 128 KiB
@@ -201,22 +208,25 @@ def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int 
     the same on either block, R Q_{k+1} = (R Q_k) M_k, so both kinds of run
     share one loop.  A seed other than 1 or N + 1 raises ValueError.
 
-    Channel amplitudes are averaged exactly over each window and every
-    schedule discontinuity is a window boundary, so piecewise-constant
-    schedules are integrated without time-stepping error.
+    Each window is stepped as its stages (pulses.window_stages), stage s of
+    a window of width dt held for dt/S: a boxcar family's window is its exact
+    average, so piecewise-constant schedules, whose every discontinuity is a
+    window boundary, are integrated without time-stepping error, and a sin^m
+    window the two stages of CF4, fourth order in dt.  The columns are
+    recorded only after a window's last stage, at the grid times.
 
-    The windows are stepped by runs.  A run is a maximal stretch of windows
-    with the same single channel on (an all-zero window counts as one with
-    angle 0), or a maximal stretch of windows with two or more channels on,
+    The stages are stepped by runs.  A run is a maximal stretch of stages
+    with the same single channel on (an all-zero stage counts as one with
+    angle 0), or a maximal stretch of stages with two or more channels on,
     whose maps come from expm_series in blocks of max(1, _BLOCK_FLOATS //
-    dim**2) windows, one call per block.  A channel's generator K_c is a
-    matching, so its edges commute and the maps of a run with window angles
+    dim**2) stages, one call per block.  A channel's generator K_c is a
+    matching, so its edges commute and the maps of a run with stage angles
     theta_k = 2*dt_k*amp_k compose to exp(phi*K_c), one plane rotation per
     edge at the summed angle phi.  With P the product (or its row block)
-    before the run, the columns after window j are P cos(phi_j) + P K_c
-    sin(phi_j) on matched nodes and P on the others, written straight into
-    the output rows; the product then advances in place by one Givens update
-    at the run's whole angle.
+    before the run, the columns after stage j are P cos(phi_j) + P K_c
+    sin(phi_j) on matched nodes and P on the others, those that end a window
+    written straight into the output rows; the product then advances in
+    place by one Givens update at the run's whole angle.
 
     Where the schedule's periodicity holds on the grid (see _period_windows),
     one period of windows is stepped from the identity, full columns on
@@ -258,7 +268,7 @@ def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int 
     site1 = _site1_rows(k.n_sites)
     cols = [0, k.n_sites]  # the X_N and Y_N seeds
     take = site1 if series else slice(None)  # their site-1 rows of the product
-    per_block = max(1, _BLOCK_FLOATS // dim ** 2)
+    per_block = max(1, _BLOCK_FLOATS // dim ** 2)  # maps per expm_series call
     transfer = np.zeros((len(grid), 2, 2))  # at t = 0 both seeds sit on site N
     # output targets: (2-D view, the part of a (..., rows, len(cols)) column stack its rows keep)
     history = [(transfer.reshape(-1, 4), lambda s: s[..., take, :].reshape(s.shape[:-2] + (4,)))]
@@ -272,50 +282,64 @@ def propagate(schedule: PulseSchedule, n_steps: Optional[int] = None, seed: int 
         for view, keep in out:
             view[at] = keep(columns)
 
+    def width(lo, hi):
+        """The lengths of stages lo..hi-1: each of a window's stages lasts 1/stages of it."""
+        w = slice(lo // stages, (hi - 1) // stages + 1)
+        each = (grid[1:][w] - grid[:-1][w]) / stages
+        return np.repeat(each, stages)[lo % stages:hi - lo + lo % stages]
+
     def step(product, lo, hi, out, shift):
-        """product times the maps of windows lo..hi-1, by runs; window i's columns to row i+shift."""
+        """product times the maps of stages lo..hi-1, by runs; window w's columns to row w+shift.
+
+        Stage i is stage i % stages of window i // stages, so a window's columns are
+        those after its last stage."""
         c = channel[lo:hi]
         starts = np.flatnonzero(c != np.r_[-2, c[:-1]]) + lo
         for i, j in zip(starts, np.r_[starts[1:], hi]):
             if channel[i] >= 0:
-                angles = 2.0 * (grid[i + 1:j + 1] - grid[i:j]) * amps[i:j, channel[i]]
+                angles = 2.0 * width(i, j) * amps[i:j, channel[i]]
                 weights, basis = rotate_run(product, k.matchings[channel[i]], angles, cols)
-                for view, keep in out:  # rows i..j-1 of the run, with no stacked temporary
-                    np.matmul(weights, keep(basis), out=view[i + shift:j + shift])
+                ends = weights[stages - 1 - i % stages::stages]  # the stages that end a window
+                for view, keep in out:  # those windows' rows, with no stacked temporary
+                    np.matmul(ends, keep(basis), out=view[i // stages + shift:j // stages + shift])
                 continue
-            for at in range(i, j, per_block):  # mixed windows: one expm_series call per block
+            for at in range(i, j, per_block):  # mixed stages: one expm_series call per block
                 to = min(at + per_block, j)
-                scale = 2.0 * (grid[at + 1:to + 1] - grid[at:to])  # into the amplitudes: signs are +-1
+                scale = 2.0 * width(at, to)  # into the amplitudes: signs are +-1
                 maps = expm_series(k.combined(*(scale[:, None] * amps[at:to]).T))
-                columns = np.empty((to - at, len(product), len(cols)))
-                for w in range(to - at):
-                    product = product @ maps[w]
-                    columns[w] = product[:, cols]
-                put(out, slice(at + shift, to + shift), columns)
+                columns = np.empty((to // stages - at // stages, len(product), len(cols)))
+                for w in range(at, to):
+                    product = product @ maps[w - at]
+                    if w % stages == stages - 1:
+                        columns[w // stages - at // stages] = product[:, cols]
+                put(out, slice(at // stages + shift, to // stages + shift), columns)
                 del maps  # one block of maps at a time
         return product
 
-    # window_amplitudes rejects non-finite amplitudes, rotate_run and expm_series inf or NaN norms
+    # window_stages rejects non-finite amplitudes, rotate_run and expm_series inf or NaN norms
     with np.errstate(over="ignore", invalid="ignore"):
-        amps = window_amplitudes(schedule, grid)
+        table = window_stages(schedule, grid)
+        first, n, count = _period_windows(period, table)
+        stages = table.shape[1]
+        amps = table.reshape(-1, 3)  # one row per stage
         on = amps != 0.0
         channel = np.where(on.sum(axis=1) <= 1, on.argmax(axis=1), -1)  # the channel on, else -1
-        first, n, count = _period_windows(period, amps)
         # a transfer-only run starts from the two site-1 rows of the identity, not the whole of
         # it; the start goes in unnamed, so the first new product frees it
         product = step(np.eye(dim) if series else np.equal.outer(site1, np.arange(dim)) + 0.0,
-                       0, first, history, 1)
+                       0, first * stages, history, 1)
         if count:  # with no period reused, no period map: it would be an idle identity
             partial = np.empty((n, dim, len(cols)))  # Q_j[:, cols], never the (n, dim, dim) stack
-            period = [(partial.reshape(n, dim * len(cols)), lambda s: s.reshape(s.shape[:-2] + (-1,)))]
-            period_map = step(np.eye(dim), first, first + n, period, -first)
+            flat = dim * len(cols)
+            period = [(partial.reshape(n, flat), lambda s: s.reshape(s.shape[:-2] + (flat,)))]
+            period_map = step(np.eye(dim), first * stages, (first + n) * stages, period, -first)
             _flush_subnormals(partial)
             _flush_subnormals(period_map)
             for p in range(count):
                 at = first + p * n + 1
                 put(history, slice(at, at + n), product @ partial)
                 product = product @ period_map
-        step(product, first + count * n, len(amps), history, 1)
+        step(product, (first + count * n) * stages, len(amps), history, 1)
     return FluxResult(times=grid, alphas=alphas, transfer=transfer, seed=seed,
                       nodes=k.nodes, n_sites=k.n_sites)
 
@@ -330,14 +354,16 @@ def _period_windows(period: Tuple[int, int, int], amps: np.ndarray) -> Tuple[int
 
     The schedule's declared periodicity is used only where it holds on this
     grid: period is _period_grid's (first, n, count), whose grid points repeat,
-    and each period's amplitude rows must equal period 0's to within
-    1e-9*max|amp| (cancellation in the sin^m antiderivative lets later periods
-    drift by about 1e-12).  Otherwise count is 0 and every window is stepped.
+    and each period's amplitude rows (window_stages' (W, S, 3) table) must equal
+    period 0's to within 1e-9*max|amp| (rounding in the sin^m antiderivative or
+    its Gauss points lets later periods drift by about 1e-12).  Otherwise count
+    is 0 and every window is stepped.
     """
     first, n, count = period
-    rows = amps[first:first + count * n].reshape(count, n, 3)
-    if count and np.abs(rows - rows[0]).max() > 1e-9 * np.abs(amps).max():
-        count = 0
+    if count:
+        rows = amps[first:first + count * n].reshape(count, -1)
+        if np.abs(rows - rows[0]).max() > 1e-9 * np.abs(amps).max():
+            count = 0
     return (first, n, count) if count else (len(amps), 0, 0)
 
 

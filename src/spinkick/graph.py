@@ -27,11 +27,13 @@ against dense commutators of the 2^N x 2^N chain Hamiltonian.
 from __future__ import annotations
 
 import functools
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from . import pulses
 from .pulses import CHANNELS, _check_sites
 
 _DOT_COLORS = {"B": "black", "Jx": "green", "Jy": "red"}
@@ -98,7 +100,24 @@ class GeneratorMatrix:
         return out
 
 
-@functools.lru_cache(maxsize=32)
+def _label_cache(build):
+    """Cache build(N) by N, dropping the least recently used chains while the labels of
+    those cached (2N^2 bytes each) pass pulses.MAX_LABEL_BYTES; the newest always stays."""
+    cache = OrderedDict()
+
+    @functools.wraps(build)
+    def cached(n_sites):
+        if n_sites in cache:
+            cache.move_to_end(n_sites)
+            return cache[n_sites]
+        k = cache[n_sites] = build(n_sites)
+        while sum(2 * c.n_sites ** 2 for c in cache.values()) > pulses.MAX_LABEL_BYTES:
+            cache.popitem(last=False)
+        return k
+    return cached
+
+
+@_label_cache
 def chain(n_sites: int) -> GeneratorMatrix:
     """The generators of the N-site chain, built once per N and shared, so read-only.
 

@@ -6,17 +6,22 @@ with a configuration-dependent sign.  Site 1 is the most significant bit of
 the basis index, site N the least significant.  Serves as the independent
 cross-check for the operator-graph propagation.  One loop steps the windows
 and streams the states, so final_state and heisenberg_expectation hold one at
-a time.  A window with one channel on is a product of commuting two-level
-rotations, applied in closed form; any other window is a Taylor series whose
-depth and degree a norm bound fixes up front, planned for all windows at
-once.  Each XX or YY term flips two bits and Z is diagonal, so H conserves
-the parity prod Z: after every window the loop checks the norm of the state
-and of its odd-parity half, and monte_carlo_average_fidelity carries its two
-basis columns, one in each sector, in one state.  Up to 10 sites each Taylor
-window keeps H in ELL form, the chain's column table of the N index maps
-and a value table built once per window, and applies it with one gather;
-larger chains apply H bond by bond, where the ELL temporaries outgrow the
-cache.  Runs that report every grid time (evolve_state,
+a time.  Each window is stepped as its stages from pulses.window_stages, the
+rule the coefficient engine steps too: a boxcar window is its exact average,
+a sin^m window the two stages of the fourth-order CF4 rule, and the states
+are read only at grid times.  A stage with one channel on is a product of
+commuting two-level rotations, applied in closed form; any other stage is a
+Taylor series whose depth and degree a norm bound fixes up front (1e-13 per
+stage), planned for all stages at once.  Each XX or YY term flips two bits
+and Z is diagonal, so H conserves the parity prod Z: after every window the
+loop checks the norm of the state and of its odd-parity half, and
+monte_carlo_average_fidelity carries its two basis columns, one in each
+sector, in one state.  Up to 10 sites each Taylor stage keeps H in ELL form,
+the chain's column table of the N index maps and a value table built once
+per stage, and applies it with one gather; larger chains apply H bond by
+bond, where the ELL temporaries outgrow the cache.  The chain's tables are
+built once per N and shared, read-only, by the runs on it; only the most
+recent N's are kept.  Runs that report every grid time (evolve_state,
 heisenberg_expectation) step every window; an end-state run (final_state)
 steps each run of equal single-channel windows as one kick.  Inputs are
 products of X/Y/Z eigenstates (SiteAssignment).
@@ -32,11 +37,12 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .exceptions import NumericalContractError, ResourceCapError
-from .pulses import PulseSchedule, default_steps, ideal_schedule, step_grid, window_amplitudes
+from .pulses import PulseSchedule, default_steps, ideal_schedule, step_grid, window_stages
 
 RESOURCE_CAP_SITES = 14  # 2^14 amplitudes
 # amplitudes evolve_state stores, times x 2^N: 512 MiB of complex values, as the flux table
-# cap; sin^6 on its default grid is stored up to N = 11 (18.0 M) and refused from 12 (39.3 M)
+# cap; sin^6 on its default grid is stored up to N = 12 (4,801 x 4,096 = 19.7 M) and refused
+# from 13 (5,201 x 8,192 = 42.6 M)
 MAX_STATE_AMPLITUDES = 2 ** 25
 
 _NORM_TOL = 1e-10
@@ -139,9 +145,9 @@ class _ChainAction:
     7 interleaved runs on 2 cores: 0.428 against 0.417 s at N = 11, 0.764 against 0.771 s
     at N = 12, 1.631 against 1.642 s at N = 13).
 
-    Taylor windows on at most _GATHER_MAX_SITES sites use the ELL form instead: the column
+    Taylor stages on at most _GATHER_MAX_SITES sites use the ELL form instead: the column
     table and a complex value table of the same shape whose row 0 is b*diag_z and row k is
-    jx + jy*yy_signs.  taylor() builds the value table once per window, and gather()
+    jx + jy*yy_signs.  taylor() builds the value table once per stage, and gather()
     applies H as (values * psi[columns]).sum(axis=0), three numpy calls whatever N.  The
     rows are summed in apply()'s order, so with jx or jy zero the two agree bit for bit.
 
@@ -162,6 +168,8 @@ class _ChainAction:
         self.flips = self.columns[1:]
         # <flip of s|YY|s> = -1 when the bond bits of s agree, +1 otherwise
         self.yy_signs = np.where(bits[:-1] == bits[1:], -1.0, 1.0)
+        for table in (self.diag_z, self.columns, self.flips, self.yy_signs):
+            table.setflags(write=False)  # shared by every run on N sites (_chain_action)
 
     def apply(self, psi: np.ndarray, jx: float, jy: float, b: float) -> np.ndarray:
         out = b * self.diag_z * psi if b else np.zeros_like(psi)
@@ -229,12 +237,19 @@ class _ChainAction:
         return psi
 
 
+# the read-only tables of H on N sites, shared by the runs on N sites; only the most recent
+# N's are kept, so resident memory does not grow with the chain lengths run
+_chain_action = functools.lru_cache(maxsize=1)(_ChainAction)
+
+
 def _windows(psi0: np.ndarray, schedule: PulseSchedule, n_steps: Optional[int],
              read_time: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The step grid up to read_time, its (W, 3) amplitude table and the W window bounds.
+    """The step grid up to read_time, its (W, S, 3) stage table and the (W, S) stage bounds.
 
-    Every window's bound is checked in one pass, so a window past the substep
-    cap (an infinite or NaN bound too) fails before any is stepped.
+    pulses.window_stages owns the window rule: stage s of a window of width dt
+    holds its amplitudes for dt/S, as in the coefficient engine.  Every stage's
+    bound is checked in one pass, so a stage past the substep cap (an infinite
+    or NaN bound too) fails before any is stepped.
     """
     n = schedule.n_sites
     if len(psi0) != (1 << n):
@@ -242,45 +257,49 @@ def _windows(psi0: np.ndarray, schedule: PulseSchedule, n_steps: Optional[int],
     _check_cap(n)
     grid = step_grid(schedule, default_steps(schedule) if n_steps is None else n_steps)
     grid = np.append(grid[grid < read_time], read_time)
-    amplitudes = window_amplitudes(schedule, grid)
+    stages = window_stages(schedule, grid)
     with np.errstate(over="ignore"):
-        theta = _step_bound(n, np.diff(grid), *amplitudes.T)
+        theta = _step_bound(n, np.diff(grid)[:, None] / stages.shape[1], *np.moveaxis(stages, -1, 0))
     bad = np.flatnonzero(~(theta <= _MAX_BOUND))
     if bad.size:
-        raise NumericalContractError(f"state-vector step bound {theta[bad[0]]:g} needs more "
+        raise NumericalContractError(f"state-vector step bound {theta.flat[bad[0]]:g} needs more "
                                      f"than 2^{_MAX_DEPTH} substeps")
-    return grid, amplitudes, theta
+    return grid, stages, theta
 
 
-def _merge_runs(n_sites: int, grid: np.ndarray, amplitudes: np.ndarray,
+def _merge_runs(n_sites: int, grid: np.ndarray, stages: np.ndarray,
                 theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The windows of _windows with each run of equal windows, at most one channel on, as one.
 
+    A window joins a run when its stages are all one row with at most one channel on.
     One channel's terms commute, so exp(-i*dt1*H) exp(-i*dt2*H) = exp(-i*(dt1+dt2)*H) is
     exact for its run, and kick() steps it in closed form; an all-zero run is the identity.
     Mixed windows stay as they are.  A run whose merged bound would pass the substep cap
     keeps its windows, so no step passes the bound _windows checked.  A grid with
     no windows (read_time 0) is returned as it is.
     """
-    if not len(amplitudes):
-        return grid, amplitudes, theta
-    single = np.count_nonzero(amplitudes, axis=1) <= 1
-    start = np.append(True, ~single[1:] | (amplitudes[1:] != amplitudes[:-1]).any(axis=1))
-    merged = _step_bound(n_sites, np.diff(grid[np.append(start, True)]), *amplitudes[start].T)
-    merged = merged[np.cumsum(start) - 1]  # per window: the bound of its whole run
-    kept = ~(merged <= _MAX_BOUND)
+    if not len(stages):
+        return grid, stages, theta
+    single = np.count_nonzero(stages[:, 0], axis=1) <= 1
+    single &= (stages == stages[:, :1]).all(axis=(1, 2))  # and every stage the same
+    start = np.append(True, ~single[1:] | (stages[1:] != stages[:-1]).any(axis=(1, 2)))
+    width = np.diff(grid[np.append(start, True)])[:, None] / stages.shape[1]
+    merged = _step_bound(n_sites, width, *np.moveaxis(stages[start], -1, 0))
+    merged = merged[np.cumsum(start) - 1]  # per window: the bounds of its whole run
+    kept = ~(merged <= _MAX_BOUND).all(axis=1)
     start |= kept
-    return grid[np.append(start, True)], amplitudes[start], np.where(kept, theta, merged)[start]
+    return grid[np.append(start, True)], stages[start], np.where(kept[:, None], theta, merged)[start]
 
 
 def _plan(amplitudes: np.ndarray, theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per window: whether one channel alone is on (a kick), and its Taylor depth and degree.
+    """Per stage of (S, 3) amplitude rows: whether one channel alone is on (a kick), and its
+    Taylor depth and degree.
 
-    With theta = dt*((|jx|+|jy|)(N-1) + |b|N) >= dt*||H||, the Taylor path takes 2^depth
-    Horner-form substeps of bound s = theta/2^depth <= 0.4, each to the first degree m with
-    2^depth * s^(m+1)/(m+1)! <= 1e-13 (_THETA), so the window meets 1e-13.  The bound is
-    not checked here: _windows refuses every window past _MAX_BOUND before the first step,
-    and _merge_runs merges no run past it.
+    With theta = dt*((|jx|+|jy|)(N-1) + |b|N) >= dt*||H|| over the stage's dt, the Taylor
+    path takes 2^depth Horner-form substeps of bound s = theta/2^depth <= 0.4, each to the
+    first degree m with 2^depth * s^(m+1)/(m+1)! <= 1e-13 (_THETA), so the stage meets
+    1e-13.  The bound is not checked here: _windows refuses every stage past _MAX_BOUND
+    before the first step, and _merge_runs merges no run past it.
     """
     single = np.count_nonzero(amplitudes, axis=1) == 1
     depth = np.zeros(len(theta), dtype=int)
@@ -308,30 +327,34 @@ def _norm(psi: np.ndarray) -> float:
     return math.sqrt(np.vdot(psi, psi).real)
 
 
-def _step_windows(psi0: np.ndarray, grid: np.ndarray, amplitudes: np.ndarray,
+def _step_windows(psi0: np.ndarray, grid: np.ndarray, stages: np.ndarray,
                   theta: np.ndarray) -> Iterator[Tuple[float, np.ndarray]]:
     """The window loop of evolve_state, final_state and heisenberg_expectation.
 
     Yields (t, state) at every time of the grid, psi0 first, each state after its norm
     check: the state keeps unit norm, and its odd-parity half the norm it starts with.
-    Each window steps by the plan that _plan makes for all of them up front.  The caller
-    keeps what it reads.
+    Each window steps its S stages in turn, each for 1/S of the window, by the plan that
+    _plan makes for all of them up front.  The caller keeps what it reads.
     """
     n = len(psi0).bit_length() - 1
-    chain = _ChainAction(n)
+    chain = _chain_action(n)
     odd = np.flatnonzero(_odd_parity(n))
     times = grid.tolist()
+    per = stages.shape[1]
+    rows = stages.reshape(-1, 3)
     # flat columns: a list of W rows of three floats would hold 1 MB at W = 6400
-    plan = zip(*amplitudes.T.tolist(), *(column.tolist() for column in _plan(amplitudes, theta)))
+    plan = zip(*rows.T.tolist(), *(column.tolist() for column in _plan(rows, theta.ravel())))
     psi = np.array(psi0, dtype=complex)
     odd_norm = _norm(psi.take(odd))
     for i, t in enumerate(times):
         if i:
-            jx, jy, b, single, depth, degree = next(plan)
-            if single:
-                psi = chain.kick(psi, t - times[i - 1], jx, jy, b)
-            else:
-                psi = chain.taylor(psi, t - times[i - 1], jx, jy, b, depth, degree)
+            dt = (t - times[i - 1]) / per
+            for _ in range(per):
+                jx, jy, b, single, depth, degree = next(plan)
+                if single:
+                    psi = chain.kick(psi, dt, jx, jy, b)
+                else:
+                    psi = chain.taylor(psi, dt, jx, jy, b, depth, degree)
         drift = abs(_norm(psi) - 1.0)
         if not drift <= _NORM_TOL:
             raise NumericalContractError(f"state norm off 1 by {drift:g} at t = {t:g}")
@@ -346,8 +369,9 @@ def evolve_state(psi0: np.ndarray, schedule: PulseSchedule,
                  n_steps: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Evolve under the schedule; returns (times, states) with one row per time.
 
-    Step boundaries include all schedule discontinuities and each window uses
-    the window-averaged amplitudes, mirroring the coefficient propagation.
+    Step boundaries include all schedule discontinuities and each window is
+    stepped as its stages (pulses.window_stages), mirroring the coefficient
+    propagation; the states are those at the grid times.
     The states fill one (times, 2^N) array; a series past MAX_STATE_AMPLITUDES
     is refused before the first window.
     """

@@ -7,10 +7,13 @@ commutators, independent of its closed form.  Slow on purpose; only used for
 small N.  The exceptions are the Jordan-Wigner referees at the end, which
 work on the chain's 2N Majorana operators, so they reach N where no 2^N
 matrix fits; they are built from the Jordan-Wigner formulas, not from the
-operator graph.  majorana_columns steps the engine's window averages, and
+operator graph.  majorana_columns steps the engines' window rule, and
 majorana_pointwise integrates the pointwise ODE with no window rule at all.
+The window rule is written out again here from its definition
+(window_stages), not read from the package.
 """
 import itertools
+import math
 
 import numpy as np
 from scipy.linalg import expm
@@ -105,20 +108,36 @@ def pauli_expectation(psi, labels):
     return float(np.real(np.vdot(psi, string_matrix(labels) @ psi)))
 
 
-def evolve_windows(psi0, schedule, grid):
-    """Schroedinger evolution, one dense expm per grid window.
+def window_stages(schedule, t0, t1):
+    """(dt, (jx, jy, b)) of each stage of the window [t0, t1] in time order: the engines' rule.
 
-    Uses the same window-averaged amplitudes as the package so results are
-    comparable to machine precision; the exponentials themselves come from
-    scipy.
+    A boxcar family's window is one stage, its average over the window.  A
+    smooth family's (schedule.smooth: sin^m) is the two stages of CF4 (Blanes
+    and Moan 2006), each over the whole window: alpha_2 a(t1) + alpha_1 a(t2),
+    then alpha_1 a(t1) + alpha_2 a(t2), with a the pointwise amplitudes at the
+    Gauss points t1,2 = t0 + (1/2 -+ sqrt(3)/6) dt and alpha_1,2 = 1/4 -+ sqrt(3)/6.
+    """
+    dt = t1 - t0
+    if not schedule.smooth:
+        return [(dt, schedule.average_amplitudes(t0, t1))]
+    r = math.sqrt(3.0) / 6.0
+    early, late = (np.array(schedule.amplitudes(t0 + (0.5 + x) * dt), dtype=float) for x in (-r, r))
+    return [(dt, tuple((0.25 + r) * early + (0.25 - r) * late)),
+            (dt, tuple((0.25 - r) * early + (0.25 + r) * late))]
+
+
+def evolve_windows(psi0, schedule, grid):
+    """Schroedinger evolution, one dense expm per stage of each grid window (window_stages).
+
+    Uses the same window rule as the package so results are comparable to
+    machine precision; the exponentials themselves come from scipy.
     """
     n = schedule.n_sites
     psi = np.asarray(psi0, dtype=complex)
     out = [psi]
     for t0, t1 in zip(grid[:-1], grid[1:]):
-        jx, jy, b = schedule.average_amplitudes(t0, t1)
-        u = expm(-1j * (t1 - t0) * chain_hamiltonian(n, jx, jy, b))
-        psi = u @ psi
+        for dt, amps in window_stages(schedule, t0, t1):
+            psi = expm(-1j * dt * chain_hamiltonian(n, *amps)) @ psi
         out.append(psi)
     return np.array(out)
 
@@ -132,9 +151,8 @@ def heisenberg_coefficients(schedule, grid, nodes):
     u = np.eye(dim, dtype=complex)
     rows = []
     for i in range(len(grid)):
-        if i > 0:
-            jx, jy, b = schedule.average_amplitudes(grid[i - 1], grid[i])
-            u = expm(-1j * (grid[i] - grid[i - 1]) * chain_hamiltonian(n, jx, jy, b)) @ u
+        for dt, amps in window_stages(schedule, grid[i - 1], grid[i]) if i else ():
+            u = expm(-1j * dt * chain_hamiltonian(n, *amps)) @ u
         heis = u.conj().T @ x_n @ u
         rows.append([np.real(np.trace(m @ heis)) / dim for m in mats])
     return np.array(rows)
@@ -171,7 +189,7 @@ def majorana_index(label):
 def majorana_columns(schedule, grid, seeds):
     """Heisenberg coefficients of the Majoranas `seeds` on all 2N, one (2N, len(seeds)) slab per time.
 
-    One scipy expm of the window-averaged generator per window of the grid.
+    One scipy expm of the generator per stage of each window (window_stages).
     With c_l(t) = sum_p W_lp(t) c_p, dW/dt = 2 A W, so W advances as
     W <- expm(2 dt A) W, and the coefficients of c_s are the row W[s], here
     kept as column s of W^T, which advances by expm(2 dt A^T) = expm(2 dt A)^T.
@@ -183,8 +201,8 @@ def majorana_columns(schedule, grid, seeds):
     w_t = np.eye(2 * n)
     out = [w_t[:, seeds]]
     for t0, t1 in zip(grid[:-1], grid[1:]):
-        a = majorana_generator(n, *schedule.average_amplitudes(t0, t1))
-        w_t = w_t @ expm(2.0 * (t1 - t0) * a.T)
+        for dt, amps in window_stages(schedule, t0, t1):
+            w_t = w_t @ expm(2.0 * dt * majorana_generator(n, *amps).T)
         out.append(w_t[:, seeds])
     return np.array(out)
 

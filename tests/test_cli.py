@@ -98,12 +98,12 @@ class TestExitCodes:
         assert err == f"error: step generator norm {norm} too large\n"
 
     def test_coefficient_table_past_the_cap_exits_4(self, capsys, monkeypatch):
-        # 1,200,001 times x 3000 coefficients: refused before the operator graph is built
+        # 600,001 times x 3000 coefficients: refused before the operator graph is built
         monkeypatch.setattr(spinkick.flux, "chain", lambda n: pytest.fail("built the generator"))
         rc, out, err = run(capsys, "simulate", "--n-sites", "1500", "--sin-m", "6")
         assert rc == 4
         assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: 1200001 times x 3000")
+        assert len(err.splitlines()) == 1 and err.startswith("error: 600001 times x 3000")
         assert "Traceback" not in err
 
     def test_running_product_counts_against_the_cap(self, capsys, monkeypatch):
@@ -277,6 +277,21 @@ class TestExitCodes:
             main(["simulate", "--n-sites", "3", "--scheme", "JxJy", flag, value])
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape,default", [(["--sin-m", "6"], 1200), (["--square-delta", "8"], 2400)])
+    def test_steps_per_pi_defaults_to_the_family(self, capsys, tmp_path, shape, default):
+        # N = 3 runs over 6 pi: 200 steps per pi for sin^m, 400 for boxcar families; an
+        # explicit density wins over either
+        for flags, want in (([], default), (["--steps-per-pi", "400"], 2400)):
+            summary = tmp_path / "s.json"
+            rc, _, _ = run(capsys, "simulate", "--n-sites", "3", *shape, *flags,
+                           "--out", str(tmp_path / "s.csv"), "--summary", str(summary))
+            assert rc == 0 and json.loads(summary.read_text())["meta"]["n_steps"] == want
+        sweep = "sin_power\nsweep = m\nvalues = 2" if shape[0] == "--sin-m" else \
+            "square_delta\nsweep = delta\nvalues = 8"
+        (tmp_path / "spec.txt").write_text(f"family = {sweep}\nfixed.n_sites = 3\n")
+        rc, out, _ = run(capsys, "sweep", str(tmp_path / "spec.txt"))
+        assert rc == 0 and f" steps_per_pi={default // 6}\n" in out
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -67,7 +67,9 @@ class TestJointAverageFidelity:
 class TestSweepSpec:
     def test_valid(self):
         spec = SweepSpec("sin_power", "m", (2.0, 4.0, 6.0), {"n_sites": 5})
-        assert spec.steps_per_pi == 400
+        assert spec.steps_per_pi == 200  # the family's default density
+        assert SweepSpec("square_delta", "delta", (8.0,), {"n_sites": 5}).steps_per_pi == 400
+        assert SweepSpec("sin_power", "m", (2.0,), {"n_sites": 5}, steps_per_pi=400).steps_per_pi == 400
 
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError):

@@ -15,9 +15,9 @@ from spinkick import (FluxResult, IdealKickSchedule, KickSlot, SiteAssignment,
                       information_flux, max_alpha, propagate, series_csv,
                       sin_power_schedule, square_schedule, summary, ideal_schedule)
 from spinkick.exceptions import NumericalContractError, ResourceCapError
-from spinkick import flux
+from spinkick import flux, oracle
 from spinkick.flux import default_steps, expm_series, rotate_run
-from spinkick.pulses import MAX_STEPS, step_grid, window_amplitudes
+from spinkick.pulses import MAX_STEPS, step_grid, window_amplitudes, window_stages
 
 import oracles
 
@@ -189,14 +189,15 @@ class TestRotateRun:
 
 
 def _expm_loop(k, schedule, seed):
-    """(alphas, transfer) with one expm_series map per window, products in time order."""
+    """(alphas, transfer) with one expm_series map per stage, products in time order."""
     grid = step_grid(schedule, default_steps(schedule))
-    amps = window_amplitudes(schedule, grid)
+    stages = window_stages(schedule, grid)
     site1 = [next(i for i, p in enumerate(k.nodes) if p[0] == op) for op in "XY"]
     product = np.eye(k.dim)
     columns = [product[:, [seed - 1, 0, k.n_sites]]]
-    for dt, row in zip(np.diff(grid), amps):
-        product = product @ expm_series(2.0 * dt * k.combined(*row))
+    for dt, rows in zip(np.diff(grid) / stages.shape[1], stages):
+        for row in rows:
+            product = product @ expm_series(2.0 * dt * k.combined(*row))
         columns.append(product[:, [seed - 1, 0, k.n_sites]])
     columns = np.array(columns)
     return columns[:, :, 0], columns[:, site1, 1:]
@@ -278,14 +279,14 @@ class TestResourceCap:
         # 10 times x (10 coefficients and 4 transfer entries) and the 10 x 10 running product
         monkeypatch.setattr(flux, "MAX_TABLE_FLOATS", 10 * (10 + 4) + 10 * 10)
         assert len(propagate(sin_power_schedule(5, 6), 9).times) == 10  # at the cap
-        monkeypatch.setattr(flux, "window_amplitudes", lambda *args: pytest.fail("allocated"))
+        monkeypatch.setattr(flux, "window_stages", lambda *args: pytest.fail("allocated"))
         with pytest.raises(ResourceCapError, match="11 times x 10 coefficients"):
             propagate(sin_power_schedule(5, 6), 10)
 
     def test_caps_are_checked_before_the_generator_is_built(self, monkeypatch):
         monkeypatch.setattr(flux, "chain", lambda n: pytest.fail("built the generator"))
         s = sin_power_schedule(1500, 6)
-        with pytest.raises(ResourceCapError, match="1200001 times x 3000 coefficients"):
+        with pytest.raises(ResourceCapError, match="600001 times x 3000 coefficients"):
             propagate(s)
         with pytest.raises(ResourceCapError, match=f"{MAX_STEPS + 1} steps exceed the cap"):
             propagate(s, MAX_STEPS + 1)
@@ -294,7 +295,7 @@ class TestResourceCap:
                                       lambda: square_schedule(200, 8.0),
                                       lambda: ideal_schedule(200, "JxB")])
     def test_n200_default_grid_fits(self, make, monkeypatch):
-        # sin^6 holds 65.60 M floats with its period stacks, square 66.24 M: propagate
+        # sin^6 holds 32.96 M floats with its period stacks, square 66.24 M: propagate
         # passes both caps and goes on to build the generator
         monkeypatch.setattr(flux, "chain", _admitted)
         with pytest.raises(_Admitted):
@@ -321,7 +322,7 @@ class TestResourceCap:
         assert [len(step_grid(s, k)) for k in (1, 2)] == [10, 11]  # the 9 kick edges, then one more
         monkeypatch.setattr(flux, "MAX_TABLE_FLOATS", 10 * 4 + 2 * 10)
         assert propagate(s, 1, series=False).alphas is None  # at the cap
-        monkeypatch.setattr(flux, "window_amplitudes", lambda *args: pytest.fail("allocated"))
+        monkeypatch.setattr(flux, "window_stages", lambda *args: pytest.fail("allocated"))
         with pytest.raises(ResourceCapError,
                            match="11 times x 4 transfer entries, the 2 x 10 product exceed"):
             propagate(s, 2, series=False)
@@ -447,9 +448,9 @@ class TestPropagate:
         others = [j for j in range(2 * n) if j not in active]
         assert np.max(np.abs(r.alphas[:, others])) == 0.0
 
-    def test_convergence_is_second_order(self):
-        """Window-averaged stepping has O(h^2) error for smooth drives, so
-        halving the step should cut the error at a fixed time by about 4."""
+    def test_convergence_is_fourth_order(self):
+        """CF4 stepping has O(h^4) error for smooth drives, so halving the
+        step should cut the error at a fixed time by about 16."""
         n = 3
         s = sin_power_schedule(n, 4)
         values = []
@@ -458,7 +459,7 @@ class TestPropagate:
             mid = len(r.times) // 2  # nested grids, common midpoint
             values.append(r.alphas[mid, n - 1])
         ratio = (values[0] - values[1]) / (values[1] - values[2])
-        assert 3.0 < ratio < 5.0
+        assert 12.0 < ratio < 20.0
 
     @pytest.mark.parametrize("scheme", ["JxJy", "JxB"])
     def test_ideal_kicks_transfer_exactly_for_every_length(self, scheme):
@@ -524,7 +525,7 @@ class TestPropagate:
         finally:
             tracemalloc.stop()
         _, n, count = flux._period_windows(flux._period_grid(s, r.times),
-                                           window_amplitudes(s, r.times))
+                                           window_stages(s, r.times))
         assert (count > 0) == periodic
         # per time: t, alphas and the transfer block; per window: amplitudes and channel
         table = len(r.times) * (1 + dim + 4 + 3 + 1) * 8
@@ -555,15 +556,18 @@ class TestPropagate:
         assert peak <= table + dim * dim * 8 + block  # 5.66 MB
 
     def test_default_steps_scale(self):
-        s = sin_power_schedule(5, 6)  # total time 10*pi
-        assert default_steps(s) == 4000
+        s = sin_power_schedule(5, 6)  # total time 10*pi, 200 steps per pi for sin^m
+        assert default_steps(s) == 2000
+        assert default_steps(s, 400) == 4000
+        assert default_steps(square_schedule(5, 8.0)) == 4000
         assert default_steps(s, 3) == 30
         assert default_steps(ideal_schedule(3, "JxJy"), 1) == 1
 
     def test_default_steps_are_whole_periods(self):
         # 400 * (2*17*pi) / pi is 13600.000000000002: float noise must not add a window
         for n in range(2, 201):
-            assert default_steps(sin_power_schedule(n, 6)) == 800 * n, n
+            assert default_steps(sin_power_schedule(n, 6)) == 400 * n, n
+            assert default_steps(sin_power_schedule(n, 6), 400) == 800 * n, n
             assert default_steps(square_schedule(n, 8.0)) == 800 * n, n
 
 
@@ -577,15 +581,15 @@ def _window_loop(schedule):
 def _reused_periods(schedule, n_steps):
     grid = step_grid(schedule, n_steps)
     period = flux._period_grid(schedule, grid)
-    return flux._period_windows(period, window_amplitudes(schedule, grid))[2]
+    return flux._period_windows(period, window_stages(schedule, grid))[2]
 
 
 class _Ramped(SinPowerSchedule):
     """Inherits the sin^m periodicity but breaks it with a slow rise of J_x."""
 
-    def average_amplitudes(self, t0, t1):
-        jx, jy, b = super().average_amplitudes(t0, t1)
-        return jx * (1.0 + 0.01 * (t0 + t1)), jy, b
+    def amplitudes(self, t):
+        jx, jy, b = super().amplitudes(t)
+        return jx * (1.0 + 0.02 * t), jy, b
 
 
 class TestPeriodReuse:
@@ -620,15 +624,15 @@ class TestPeriodReuse:
         assert _reused_periods(s, 320) == 0
         calls = _count_expm(monkeypatch)
         r = propagate(s, 320)
-        assert sum(calls) == 320
+        assert sum(calls) == 2 * 320  # two CF4 stages per window
         ref = propagate(_window_loop(s), 320)
         assert np.array_equal(r.alphas, ref.alphas) and np.array_equal(r.transfer, ref.transfer)
 
     def test_one_period_of_exponentials(self, monkeypatch):
         calls = _count_expm(monkeypatch)
         r = propagate(sin_power_schedule(25, 6))
-        assert len(r.times) == 20001
-        assert sum(calls) == 400
+        assert len(r.times) == 10001
+        assert sum(calls) == 400  # the 200 windows of one period, two CF4 stages each
 
     def test_flushed_period_tables_match_the_unflushed_ones(self, monkeypatch):
         # sin^6 at N = 80: the period map and partial hold subnormals far outside the light
@@ -693,7 +697,7 @@ class TestTransferOnly:
         tracemalloc.start()
         try:
             grid = step_grid(s, default_steps(s))
-            window_amplitudes(s, grid)
+            window_stages(s, grid)
             inputs = tracemalloc.get_traced_memory()[1]  # what any run takes per time to start
             del grid
             tracemalloc.reset_peak()
@@ -702,7 +706,7 @@ class TestTransferOnly:
         finally:
             tracemalloc.stop()
         _, n, count = flux._period_windows(flux._period_grid(s, r.times),
-                                           window_amplitudes(s, r.times))
+                                           window_stages(s, r.times))
         table = len(r.times) * dim * 8  # what a (T, 2N) coefficient table alone would take
         # per time: the transfer block and the channel; the period map and partial; the
         # stepped product and its successor; one block of maps or of rotate_run's temporaries
@@ -818,14 +822,48 @@ class TestPointwiseReferee:
         r = propagate(s, series=False)
         assert np.abs(r.transfer - oracles.majorana_pointwise(s, r.times)).max() < 1e-9
 
-    @pytest.mark.parametrize("n,every", [(5, 1), (13, 1), (25, 8)])
+    @pytest.mark.parametrize("n,every", [(5, 1), (13, 1), (25, 4)])
     def test_sin6_error_of_the_default_grid(self, n, every):
-        # the window average is a second-order rule: 1.5e-5, 4.3e-5 and 8.5e-5 here; this
-        # bound records the default grid as it is, until a fourth-order rule tightens it
+        # CF4 on 200 steps per pi: 2.8e-9, 8.3e-9 and 1.6e-8 here (the window average on 400
+        # steps per pi read 1.5e-5, 4.3e-5 and 8.5e-5)
         s = sin_power_schedule(n, 6)
         r = propagate(s, series=False)
         times = r.times[::every]
-        assert np.abs(r.transfer[::every] - oracles.majorana_pointwise(s, times)).max() < 2e-4
+        assert np.abs(r.transfer[::every] - oracles.majorana_pointwise(s, times)).max() < 1e-6
+
+    def test_sin6_error_is_fourth_order(self):
+        # doubling the steps divides the error by about 16 (by 4 with the two stages swapped)
+        s = sin_power_schedule(5, 6)
+        errors = []
+        for n_steps in (default_steps(s), 2 * default_steps(s)):
+            r = propagate(s, n_steps, series=False)
+            errors.append(np.abs(r.transfer - oracles.majorana_pointwise(s, r.times)).max())
+        assert errors[0] >= 12 * errors[1], errors
+
+    @pytest.mark.parametrize("make", [lambda: square_schedule(5, 16.0), lambda: ideal_schedule(6, "JxB")],
+                             ids=["square16", "JxB"])
+    def test_a_constant_window_is_one_stage_of_its_average(self, make):
+        # boxcar windows keep one stage, the exact average: every map is the window's map bit
+        # for bit, in the coefficient engine and in the oracle's bound
+        s = make()
+        grid = step_grid(s, default_steps(s))
+        stages, average = window_stages(s, grid), window_amplitudes(s, grid)
+        assert stages.shape == (len(grid) - 1, 1, 3)
+        assert stages[:, 0].tobytes() == average.tobytes()
+        k = chain(s.n_sites)
+        widths = np.diff(grid)[:, None]
+        maps = expm_series(k.combined(*(2.0 * (widths / stages.shape[1]) * stages[:, 0]).T))
+        assert maps.tobytes() == expm_series(k.combined(*(2.0 * widths * average).T)).tobytes()
+        theta = oracle._windows(np.ones(1 << s.n_sites), s, None, s.total_time)[2]
+        assert theta.tobytes() == oracle._step_bound(s.n_sites, widths, *average.T[:, :, None]).tobytes()
+
+    def test_sin6_transfer_is_converged_at_n25(self):
+        # step doubling at N = 25: the transfer block at the shared grid times moves by 1.5e-8
+        s = sin_power_schedule(25, 6)
+        coarse = propagate(s, series=False)
+        fine = propagate(s, 2 * default_steps(s), series=False)
+        np.testing.assert_allclose(fine.times[::2], coarse.times, rtol=0, atol=1e-12)
+        assert np.abs(fine.transfer[::2] - coarse.transfer).max() < 1e-6
 
 
 class TestFieldSign:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinkick import build_graph, chain, export_dot, graph_json
+from spinkick import build_graph, chain, export_dot, graph_json, pulses
 from spinkick.exceptions import ResourceCapError
 from spinkick.pulses import MAX_LABEL_BYTES
 
@@ -150,6 +150,20 @@ class TestEdgeSigns:
         k = chain(n_sites)
         for mat in _channel_matrices(k):
             np.testing.assert_array_equal(mat.T, -mat)
+
+    def test_cache_keeps_small_chains_past_32(self):
+        # the cache is bounded by the labels it holds, not by a count of chains
+        built = {n: chain(n) for n in range(2, 41)}
+        assert all(chain(n) is k for n, k in built.items())
+
+    def test_cache_drops_least_recent_chains_past_the_label_cap(self, monkeypatch):
+        # room for the labels of N = 411 and 413 (2N^2 bytes each), not for a third chain
+        monkeypatch.setattr(pulses, "MAX_LABEL_BYTES", 2 * (411 ** 2 + 413 ** 2))
+        k411, k412 = chain(411), chain(412)
+        assert chain(411) is k411  # now the most recent
+        k413 = chain(413)
+        assert chain(411) is k411 and chain(413) is k413
+        assert chain(412) is not k412  # dropped, and built again
 
     def test_chain_is_shared_and_read_only(self):
         k = chain(4)

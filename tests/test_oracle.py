@@ -272,9 +272,34 @@ class TestPlan:
         def windows(amplitude):
             s = IdealKickSchedule(2, [KickSlot("Jx", 0.0, 1.0, amplitude)])
             return oracle._windows(product_state(SiteAssignment.parse("+,0")), s, 1, 1.0)
-        assert windows(oracle._MAX_BOUND)[2].tolist() == [oracle._MAX_BOUND]
+        assert windows(oracle._MAX_BOUND)[2].tolist() == [[oracle._MAX_BOUND]]  # one stage
         with pytest.raises(NumericalContractError, match="substeps"):
             windows(np.nextafter(oracle._MAX_BOUND, np.inf))
+
+
+class TestChainAction:
+    """One read-only table set per N, shared by the runs on N sites; only the latest N kept."""
+
+    def test_runs_share_the_tables_of_the_latest_n(self):
+        s = sin_power_schedule(6, 6)
+        psi0 = product_state(SiteAssignment.parse("+,0,0,0,0,0"))
+        first = final_state(psi0, s, n_steps=120)
+        chain = oracle._chain_action(6)
+        assert final_state(psi0, s, n_steps=120).tobytes() == first.tobytes()
+        assert oracle._chain_action(6) is chain
+        for table in (chain.columns, chain.flips, chain.yy_signs, chain.diag_z):
+            assert not table.flags.writeable
+        oracle._chain_action(5)
+        assert oracle._chain_action.cache_info().currsize == 1
+        assert oracle._chain_action(6) is not chain  # the N = 6 tables were dropped
+
+    def test_results_match_fresh_tables(self, monkeypatch):
+        s = square_schedule(5, 16.0)
+        psi0 = product_state(SiteAssignment.parse("+,0,0,0,0"))
+        shared = heisenberg_expectation("X", psi0, s)[1], final_state(psi0, s)
+        monkeypatch.setattr(oracle, "_chain_action", oracle._ChainAction)  # a new set per call
+        fresh = heisenberg_expectation("X", psi0, s)[1], final_state(psi0, s)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(shared, fresh))
 
 
 class TestGather:
@@ -403,10 +428,10 @@ class TestFinalState:
 
 
 def _one_window(psi, dt, jx, jy, b):
-    """exp(-i*dt*H) psi by the planned window loop, over a grid of one window."""
-    grid, amplitudes = np.array([0.0, dt]), np.array([[jx, jy, b]])
-    theta = oracle._step_bound(len(psi).bit_length() - 1, np.diff(grid), *amplitudes.T)
-    return list(oracle._step_windows(psi, grid, amplitudes, theta))[-1][1]
+    """exp(-i*dt*H) psi by the planned window loop, over a grid of one window of one stage."""
+    grid, stages = np.array([0.0, dt]), np.array([[[jx, jy, b]]])
+    theta = oracle._step_bound(len(psi).bit_length() - 1, np.diff(grid)[:, None], jx, jy, b)
+    return list(oracle._step_windows(psi, grid, stages, theta))[-1][1]
 
 
 def _random_state(n_sites, seed):
@@ -519,7 +544,7 @@ class TestEndStateMerge:
         # one kick per J-only stretch (head, N - 2 between pulses, tail), the pulses as before
         s = square_schedule(4, 16.0)
         grid = oracle.step_grid(s, oracle.default_steps(s))
-        pulse_windows = int(np.sum(np.count_nonzero(oracle.window_amplitudes(s, grid), axis=1) > 1))
+        pulse_windows = int(np.sum(np.count_nonzero(oracle.window_stages(s, grid)[:, 0], axis=1) > 1))
         calls = _count_calls(monkeypatch, "kick", "taylor")
         final_state(product_state(SiteAssignment.parse("+,0,0,0")), s)
         assert calls == {"kick": 4, "taylor": pulse_windows}
@@ -825,19 +850,19 @@ class TestResourceCap:
         with pytest.raises(ResourceCapError, match=f"^{len(times)} times x 8 amplitudes exceed"):
             evolve_state(psi0, s, 40)
 
-    def test_sin6_default_grid_is_stored_up_to_eleven_sites(self, monkeypatch):
+    def test_sin6_default_grid_is_stored_up_to_twelve_sites(self, monkeypatch):
         monkeypatch.setattr(oracle, "_step_windows", lambda *args: pytest.fail("stepped"))
-        psi0 = product_state(SiteAssignment.uniform(12))
+        psi0 = product_state(SiteAssignment.uniform(13))
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceCapError, match="^9601 times x 4096 amplitudes exceed the "
+            with pytest.raises(ResourceCapError, match="^5201 times x 8192 amplitudes exceed the "
                                                        f"cap of {2 ** 25} stored amplitudes$"):
-                evolve_state(psi0, sin_power_schedule(12, 6))
+                evolve_state(psi0, sin_power_schedule(13, 6))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 ** 20  # the grid and its amplitude table, not the 629 MB series
-        assert 8801 * 2 ** 11 <= oracle.MAX_STATE_AMPLITUDES  # N = 11 on its default grid
+        assert peak < 2 ** 20  # the grid and its stage table, not the 682 MB series
+        assert 4801 * 2 ** 12 <= oracle.MAX_STATE_AMPLITUDES  # N = 12 on its default grid
 
 
 class TestDumpStateJson:
