@@ -474,72 +474,108 @@ def _format_table(header: str, *columns: np.ndarray) -> Iterator[str]:
     Each column is a (rows,) or (rows, m) array.  A row whose values after
     the first are bitwise those of the row above (compared as uint64, so
     -0.0 and each NaN payload count as their own) reuses that row's text:
-    only its first value is formatted, and one str.replace appends the text
-    after the previous line's first comma.  Other rows are formatted in
-    passes of about _FORMAT_CHUNK values.  Each pass is one str, yielded as
-    soon as it is made, so a caller that writes the pieces as they come
-    holds no more than the last pass and the next; "".join of the pieces
-    is the whole text.
+    only its first value is printed, and one str.replace appends the text
+    after the previous line's first comma.  The values to print are
+    formatted in passes of whole rows and about _FORMAT_CHUNK values counted
+    over the whole table, one _format_values call each, and a pass is cut
+    into one str per stretch of reused or changed rows.  Each str is yielded
+    as soon as it is made, so a caller that writes the pieces as they come
+    holds one pass's texts and the piece at hand; "".join of the pieces is
+    the whole text.
     """
     rows = len(columns[0])
     width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
-    newline = np.arange(width) == width - 1
-    per = max(1, _FORMAT_CHUNK // width)
-    first = columns[0] if columns[0].ndim == 1 else columns[0][:, 0]
     same = np.zeros(rows, bool)
     same[1:] = width > 1
     for j, c in enumerate(columns):
         bits = (c[:, None] if c.ndim == 1 else c)[:, int(j == 0):].view(np.uint64)
         same[1:] &= (bits[1:] == bits[:-1]).all(axis=1)
-    starts = np.flatnonzero(same != np.r_[True, same[:-1]]).tolist()  # stretches of either kind
-    piece = header
+    done = np.zeros(rows + 1, np.intp)  # values printed before each row
+    np.cumsum(np.where(same, 1, width), out=done[1:])
+    passes = [0]
+    while passes[-1] < rows:
+        at = passes[-1]
+        passes.append(max(at + 1, int(np.searchsorted(done, done[at] + _FORMAT_CHUNK, "right")) - 1))
+    cuts = np.union1d(np.flatnonzero(same != np.r_[True, same[:-1]]), passes).tolist()  # and stretch starts
+    piece, i = header, 0
     yield piece
-    for lo, hi in zip(starts, starts[1:] + [rows]):
-        if not same[lo]:
-            for at in range(lo, hi, per):
-                block = np.column_stack([c[at:min(at + per, hi)] for c in columns])
-                piece = _format_values(block.ravel(), np.tile(newline, len(block)))
-                yield piece
-            continue
-        line = piece[piece.rfind("\n", 0, -1) + 1:]  # the last line of the stretch above
-        tail = line[line.index(","):]
-        for at in range(lo, hi, _FORMAT_CHUNK):
-            values = first[at:min(at + _FORMAT_CHUNK, hi)]
-            piece = _format_values(values, np.ones(len(values), bool)).replace("\n", tail)
+    for hi in passes[1:]:
+        j = cuts.index(hi, i)
+        bounds, i = cuts[i:j + 1], j
+        for a, text in zip(bounds, _pass_texts(columns, same, done, bounds)):
+            if same[a]:  # append the text after the first comma of the line above
+                line = piece[piece.rfind("\n", 0, -1) + 1:]
+                text = text.replace("\n", line[line.index(","):])
+            piece = text
             yield piece
 
 
-def _format_values(values: np.ndarray, newline: np.ndarray) -> str:
-    """'%.17g' of each value followed by ',' or, where newline is set, by a newline.
+def _pass_texts(columns: tuple, same: np.ndarray, done: np.ndarray, bounds: list) -> list:
+    """The texts of one pass over rows bounds[0]..bounds[-1], one per stretch between bounds.
 
-    Each value becomes a 40-byte record of ten 4-byte words from lookup
-    tables: the sign with any '0.000' head (two words), six words of three
-    digits (the last holds two and a dropped zero), each carrying the
+    A reused row's text is its first value and a newline; a changed row's is the whole row.
+    """
+    lo, hi = bounds[0], bounds[-1]
+    first = columns[0] if columns[0].ndim == 1 else columns[0][:, 0]
+    parts = [first[a:b] if same[a] else np.column_stack([c[a:b] for c in columns]).ravel()
+             for a, b in zip(bounds, bounds[1:])]
+    newline = np.zeros(done[hi] - done[lo], bool)
+    newline[done[lo + 1:hi + 1] - done[lo] - 1] = True  # each row's last value
+    record = _format_values(np.concatenate(parts) if len(parts) > 1 else parts[0], newline)
+    return [record[done[a] - done[lo]:done[b] - done[lo]].tobytes().translate(None, b"\0").decode("ascii")
+            for a, b in zip(bounds, bounds[1:])]
+
+
+def _format_values(values: np.ndarray, newline: np.ndarray) -> np.ndarray:
+    """(len(values), 10) uint32 records: '%.17g' of each value and ',' or, where newline is set, a newline.
+
+    A record's bytes other than NUL are its text.  ±0.0 is '0' or '-0' and
+    its separator; only the other values take the digit route (_records).
+    """
+    if np.count_nonzero(values) == len(values):
+        return _records(values, newline)
+    at = np.flatnonzero(values)
+    rest = _records(values[at], newline[at])
+    heads, tails = _format_tables()[4:]
+    record = np.zeros((len(values), 10), np.uint32)
+    record[:, 2] = ord("0")
+    wide = record.view(np.uint64)
+    wide[:, 0] = heads.take(np.signbit(values))
+    wide[:, 4] = tails.take(newline)
+    record[at] = rest
+    return record
+
+
+def _records(values: np.ndarray, newline: np.ndarray) -> np.ndarray:
+    """_format_values' records from lookup tables.
+
+    A record holds the sign with any '0.000' head (two words), six words of
+    three digits (the last holds two and a dropped zero), each carrying the
     decimal point if it falls there, and the exponent with the separator
-    (two words).  Unused bytes are NUL and are dropped from the joined
-    records in one pass.  A fallback value's CPython text overwrites its
-    record.
+    (two words).  Unused bytes are NUL.  A fallback value's CPython text
+    overwrites its record.
     """
     _, words, blocks, zeros, heads, tails = _format_tables()
     n, k, fallback = _digits(values)
-    group = np.empty((6, len(n)), np.intp)  # digits 0-2, 3-5, ..., 15-16 and a zero
+    group = np.empty((6, len(n)), np.int16)  # digits 0-2, 3-5, ..., 15-16 and a zero
     top = n // 10 ** 8
     for at, part, unit in ((0, top, 1000), (3, n - 10 ** 8 * top, 100)):  # 9 and 8 digits
         mid = part // unit
         group[at + 2] = (part - unit * mid) * (1000 // unit)
         group[at] = mid // 1000
         group[at + 1] = mid - 1000 * group[at]
-    z = zeros.take(group)
-    trailing, run = z[5] - 1, z[5] == 3  # trailing zero digits of n, less the padding zero
+    # trailing zero digits of n, less the padding zero
+    trailing, run = zeros.take(group[5]) - 1, group[5] == 0
     for j in range(4, -1, -1):
-        trailing += run * z[j]
-        run &= z[j] == 3
+        trailing += run * zeros.take(group[j])
+        run &= group[j] == 0
     fixed = (k >= -4) & (k < 17)  # %g's choice of notation
     last = np.where(fixed & (k > 0), k, 0)  # the last digit before the point
     point = np.where(fixed & (k < 0), 17, last)  # the digit the point follows; 17: in the head
     mode = 18 * point + np.maximum(17 - trailing, last + 1)  # and the first digit dropped
     record = np.empty((len(n), 10), np.uint32)
-    record[:, 2:8] = words.take(group + blocks.take(mode, axis=1)).T
+    for j in range(6):
+        record[:, 2 + j] = words.take(group[j] + blocks[j].take(mode))
     wide = record.view(np.uint64)
     wide[:, 0] = heads.take(np.signbit(values) + 2 * np.where(fixed & (k < 0), -k, 0))
     wide[:, 4] = tails.take(2 * np.where(fixed, 0, k - _K.start + 1) + newline)
@@ -548,7 +584,7 @@ def _format_values(values: np.ndarray, newline: np.ndarray) -> str:
         text = b"%.17g" % values[i]
         raw[i, :32] = 0
         raw[i, :len(text)] = np.frombuffer(text, np.uint8)
-    return record.tobytes().translate(None, b"\0").decode("ascii")
+    return record
 
 
 def _digits(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

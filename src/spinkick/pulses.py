@@ -2,14 +2,15 @@
 
 All schedules map time to the channel amplitude triple (J_x, J_y, B) in units
 of a reference coupling (hbar = 1).  Ideal kicks and square trains are one
-boxcar table, a constant base plus single-channel boxcars.  Window averages
-are exact: boxcar overlaps are computed in closed form and the sin^m / cos^m
-family is averaged through its finite cosine series, so kick areas are
+boxcar table, a constant base plus single-channel boxcars, whose window
+averages are exact: overlaps are computed in closed form, so kick areas are
 preserved no matter how step boundaries fall.
 
 window_stages owns the window rule that both engines step: a boxcar window is
-one stage, its exact average, and a sin^m window the two stages of the
-fourth-order commutator-free rule CF4 at its Gauss points.
+one stage, its exact average, and a sin^m / cos^m window the two stages of
+the fourth-order commutator-free rule CF4, read pointwise at its Gauss
+points.  That family's exact window averages (average_amplitudes, through
+its finite cosine series) are read by no engine.
 """
 from __future__ import annotations
 

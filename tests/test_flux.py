@@ -4,6 +4,7 @@ import decimal
 import math
 import re
 import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -1187,8 +1188,12 @@ class TestFormatTable:
                          for first, i, twin in picks], dtype=np.uint64)
         table = bits.reshape(-1, width).view(np.float64)
         expected = "h\n" + _printf_rows(table)
-        assert not _mismatches("".join(flux._format_table("h\n", table)), expected)
-        assert not _mismatches("".join(flux._format_table("h\n", table[:, 0], table[:, 1:])), expected)
+        # passes of 3 and 7 values cut stretches anywhere, so that +-0.0 twins, NaN payloads
+        # and zeros fall at the cuts
+        for chunk in (flux._FORMAT_CHUNK, 3, 7):
+            with unittest.mock.patch.object(flux, "_FORMAT_CHUNK", chunk):
+                for columns in ((table,), (table[:, 0], table[:, 1:])):
+                    assert not _mismatches("".join(flux._format_table("h\n", *columns)), expected)
 
     def test_square_export_reuses_repeated_rows(self, monkeypatch):
         # X_N commutes with the XX bonds: only the B pulses move the coefficients, and 19,400
@@ -1199,7 +1204,14 @@ class TestFormatTable:
         monkeypatch.setattr(flux, "_format_values", lambda v, nl: given.append(len(v)) or format_values(v, nl))
         assert not _mismatches(series_csv(r), _row_route(r))
         assert r.alphas.size + 2 * len(r.times) == 1_042_548
-        assert sum(given) <= 60_000
+        # the 53,148 printed values are formatted in passes across the stretches
+        assert sum(given) <= 60_000 and len(given) <= 9
+
+    @pytest.mark.parametrize("scheme", ["JxJy", "JxB"])
+    def test_ideal_export_is_the_row_route(self, scheme):
+        # outside the light cone most coefficients are +-0.0, which skip the digit route
+        r = propagate(ideal_schedule(25, scheme))
+        assert not _mismatches(series_csv(r), _row_route(r))
 
     def test_matches_cpython_on_a_random_sample(self):
         rng = np.random.default_rng(20261019)

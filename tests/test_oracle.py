@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from spinkick import oracle
@@ -671,23 +671,33 @@ class TestParity:
     """H conserves prod Z: one pass of the X+ sender carries both Monte-Carlo columns."""
 
     @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(2, 12), data=st.data())
-    def test_one_pass_halves_are_the_two_columns(self, n, data):
-        # N = 2..10 apply H by the gather, 11 and 12 bond by bond
-        boxcars = data.draw(st.lists(st.tuples(
-            st.sampled_from(CHANNELS), st.floats(0.0, 3.0), st.floats(0.1, 1.5),
-            st.floats(-1.0, 1.0).filter(bool)), min_size=1, max_size=5), label="boxcars")
+    @given(n=st.integers(2, 12),
+           boxcars=st.lists(st.tuples(st.sampled_from(CHANNELS), st.floats(0.0, 3.0), st.floats(0.1, 1.5),
+                                      st.floats(-1.0, 1.0).filter(bool)), min_size=1, max_size=5),
+           n_steps=st.integers(3, 12), read_time=st.floats(0.0, 3.0))
+    @example(n=9, boxcars=[("Jx", 0.0, 0.125, 0.75), ("Jx", 0.1875, 1.0, 0.25),
+                           ("B", 0.109375, 1.5, 0.9930312613259735)], n_steps=3, read_time=2.0)
+    def test_one_pass_halves_are_the_two_columns(self, n, boxcars, n_steps, read_time):
+        # N = 2..10 apply H by the gather, 11 and 12 bond by bond.  The sectors never mix, so
+        # each half is its column's own pass started from 1/sqrt(2) in place of 1: the same
+        # operations on a scaled input, which differ from the column's only in rounding.  A
+        # kick or a Taylor level (2^depth * degree per window) rounds each entry about 4N times,
+        # a complex product and a sum per bond or term of H, half an ulp each: 2N ulps per
+        # level in each of the two passes, and sqrt(2) * half adds one ulp
         s = _Boxcars(n, [(c, t0, t0 + d, a) for c, t0, d, a in boxcars], 3.0)
-        n_steps = data.draw(st.integers(3, 12), label="steps")
-        read_time = data.draw(st.floats(0.0, 3.0), label="read time")
         psi = final_state(product_state(SiteAssignment.parse(",".join(["+"] + ["0"] * (n - 1)))),
                           s, read_time, n_steps)
+        _, stages, theta = oracle._merge_runs(n, *oracle._windows(psi, s, n_steps, read_time))
+        single, depth, degree = oracle._plan(stages.reshape(-1, 3), theta.ravel())
+        ulps = 1 + 2 * 2 * n * int(np.where(single, 1, degree << depth).sum())
         odd = oracle._odd_parity(n)
         for column, half in ((0, ~odd), (1 << (n - 1), odd)):
             e = np.zeros(1 << n, dtype=complex)
             e[column] = 1.0
-            np.testing.assert_allclose(math.sqrt(2.0) * np.where(half, psi, 0.0),
-                                       final_state(e, s, read_time, n_steps), rtol=0, atol=1e-15)
+            got, want = math.sqrt(2.0) * np.where(half, psi, 0.0), final_state(e, s, read_time, n_steps)
+            assert not want[~half].any()
+            scale = np.spacing(max(np.abs(got).max(), np.abs(want).max()))
+            np.testing.assert_allclose(got, want, rtol=0, atol=ulps * scale)
 
     @pytest.mark.parametrize("n", [3, 12])
     def test_odd_parity_counts_flipped_sites(self, n):
